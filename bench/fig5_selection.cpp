@@ -17,6 +17,7 @@
 #include "BenchCommon.h"
 
 #include "model/Selection.h"
+#include "obs/Rss.h"
 #include "support/AsciiChart.h"
 #include "support/CommandLine.h"
 #include "support/Format.h"
@@ -151,6 +152,9 @@ int main(int Argc, char **Argv) {
   Report.timing("calibration_seconds", CalibrationSeconds);
   Report.timing("cache_hits", Cache.stats().Hits);
   Report.timing("cache_misses", Cache.stats().Misses);
+  // Budget-capped by the committed baseline: the pipeline's memory
+  // must follow its working set, not its length.
+  Report.metric("peak_rss_kib", static_cast<double>(obs::peakRssKiB()));
 
   std::printf("Across all panels: worst model-based degradation %s, worst "
               "Open MPI degradation %s.\n"

@@ -4,7 +4,8 @@
 // algorithms (reproduction of Nuriyev & Lastovetsky, PaCT 2021).
 //
 // Measures the replay throughput of the compiled schedule engine
-// (sim/Engine.h) against the legacy per-Op interpreter on the
+// (sim/Engine.h) against the legacy per-Op interpreter (the tests'
+// reference oracle, tests/oracle/LegacyEngine.h) on the
 // schedules the calibration sweeps replay thousands of times, and
 // proves two properties the compiled path claims:
 //
@@ -33,6 +34,7 @@
 #include "coll/BcastStream.h"
 #include "mpi/CompiledSchedule.h"
 #include "obs/Rss.h"
+#include "oracle/LegacyEngine.h"
 #include "sim/Engine.h"
 #include "sim/StreamEngine.h"
 #include "support/CommandLine.h"

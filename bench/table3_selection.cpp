@@ -14,6 +14,7 @@
 #include "BenchCommon.h"
 
 #include "model/Selection.h"
+#include "obs/Rss.h"
 #include "support/CommandLine.h"
 #include "support/Format.h"
 #include "support/Table.h"
@@ -120,6 +121,9 @@ int main(int Argc, char **Argv) {
   Report.timing("calibration_seconds", CalibrationSeconds);
   Report.timing("cache_hits", Cache.stats().Hits);
   Report.timing("cache_misses", Cache.stats().Misses);
+  // Budget-capped by the committed baseline: the pipeline's memory
+  // must follow its working set, not its length.
+  Report.metric("peak_rss_kib", static_cast<double>(obs::peakRssKiB()));
 
   std::printf(
       "Paper reference: on Grisou the model-based choice is within 3%% of\n"

@@ -177,6 +177,8 @@ if [ "$RUN_BENCH" -eq 1 ]; then
   ./build/bench/table1_gamma --json "$OUT/BENCH_table1_gamma.json" >/dev/null
   ./build/bench/table2_alpha_beta --quick --threads "$THREADS" \
     --json "$OUT/BENCH_table2_alpha_beta.json" >/dev/null
+  # The paper stories' peak_rss_kib is max-bounded by the budgets of
+  # their baseline records.
   ./build/bench/table3_selection --quick --threads "$THREADS" \
     --json "$OUT/BENCH_table3_selection.json" >/dev/null
   ./build/bench/fig5_selection --quick --threads "$THREADS" \

@@ -35,24 +35,15 @@ Engine &workerEngine() {
 }
 
 /// Executes an interned schedule and extracts \p Metric from the
-/// result. Every repetition of a grid point lands here with the same
-/// entry, so the schedule is built and compiled exactly once per
-/// process. Under EngineMode::Legacy the retained source schedule
-/// replays through the legacy interpreter instead -- one env variable
-/// (MPICSEL_ENGINE=legacy) flips the whole measurement stack for
-/// differential testing.
+/// result. Repetitions of a grid point that run close together share
+/// one cache entry, so the schedule is built and compiled once for
+/// them (the cache may evict it between sweeps, see
+/// mpi/ScheduleIntern.h).
 template <typename MetricFn>
 double runInterned(const InternedScheduleRef &IS, const Platform &P,
                    std::uint64_t Seed, const char *What, MetricFn Metric) {
-  // Every simulated measurement in the process funnels through here,
-  // whichever engine executes it.
+  // Every simulated measurement in the process funnels through here.
   obs::bump(obs::Counter::RunnerExperiments);
-  if (engineMode() == EngineMode::Legacy) {
-    ExecutionResult R = runScheduleLegacy(IS->Compiled.Source, P, Seed);
-    if (!R.Completed)
-      fatalError(strFormat("%s schedule deadlocked: ", What) + R.Diagnostic);
-    return Metric(R);
-  }
   const ExecutionResult &R = workerEngine().run(IS->Compiled, P, Seed);
   if (!R.Completed)
     fatalError(strFormat("%s schedule deadlocked: ", What) + R.Diagnostic);

@@ -152,3 +152,17 @@ CompiledSchedule mpicsel::compileSchedule(Schedule S) {
   CS.Source = std::move(S);
   return CS;
 }
+
+std::size_t CompiledSchedule::heapBytes() const {
+  auto bytes = [](const auto &V) { return V.capacity() * sizeof(*V.data()); };
+  std::size_t Bytes = bytes(Kind) + bytes(OpRank) + bytes(OpPeer) +
+                      bytes(OpBytes) + bytes(OpTag) + bytes(OpDuration) +
+                      bytes(DepOffsets) + bytes(DepList) + bytes(SuccOffsets) +
+                      bytes(SuccList) + bytes(InDegree) + bytes(Roots) +
+                      bytes(RankOpOffsets) + bytes(RankOps) + bytes(ChannelOf) +
+                      bytes(ChannelSendOffsets) + bytes(ChannelRecvOffsets) +
+                      bytes(Hot) + bytes(Source.Ops);
+  for (const Op &O : Source.Ops)
+    Bytes += bytes(O.Deps);
+  return Bytes;
+}

@@ -128,8 +128,10 @@ struct CompiledSchedule {
   /// actually reads.
   std::vector<CompiledOp> Hot;
 
-  /// The schedule this was compiled from, retained for diagnostics,
-  /// the legacy differential path and re-compilation checks.
+  /// The schedule this was compiled from, as compileSchedule returns
+  /// it, for diagnostics, the legacy oracle in the tests and
+  /// re-compilation checks. Nothing in replay or verification reads
+  /// it, and interned entries (mpi/ScheduleIntern.h) leave it empty.
   Schedule Source;
 
   std::uint32_t numOps() const {
@@ -149,6 +151,9 @@ struct CompiledSchedule {
     return {SuccList.data() + SuccOffsets[Id],
             SuccOffsets[Id + 1] - SuccOffsets[Id]};
   }
+
+  /// Heap bytes held by every array, the source schedule included.
+  std::size_t heapBytes() const;
 
   /// Ops of \p Rank in ascending id order.
   std::span<const OpId> opsOfRank(unsigned Rank) const {

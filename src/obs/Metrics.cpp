@@ -15,8 +15,6 @@ const char *obs::counterName(Counter C) {
     return "engine.arena_warmups";
   case Counter::EngineArenaReuses:
     return "engine.arena_reuses";
-  case Counter::EngineLegacyRuns:
-    return "engine.legacy_runs";
   case Counter::StreamReplays:
     return "stream.replays";
   case Counter::StreamEvents:
@@ -35,6 +33,8 @@ const char *obs::counterName(Counter C) {
     return "intern.builds";
   case Counter::InternAdoptions:
     return "intern.adoptions";
+  case Counter::InternEvictions:
+    return "intern.evictions";
   case Counter::CacheHits:
     return "cache.hits";
   case Counter::CacheMisses:
@@ -87,6 +87,8 @@ const char *obs::gaugeName(Gauge G) {
     return "proc.peak_rss_kib";
   case Gauge::ServeStalenessMs:
     return "serve.staleness_ms";
+  case Gauge::InternPeakCachedBytes:
+    return "intern.peak_cached_bytes";
   case Gauge::NumGauges:
     break;
   }

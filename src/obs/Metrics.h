@@ -44,7 +44,6 @@ enum class Counter : unsigned {
   EngineEvents,       ///< events popped by the compiled replay loop
   EngineArenaWarmups, ///< replays that had to grow the run-state arena
   EngineArenaReuses,  ///< replays served entirely from a warm arena
-  EngineLegacyRuns,   ///< runs through the legacy interpreter oracle
   StreamReplays,      ///< streaming (closed-form) replays completed
   StreamEvents,       ///< events popped by the streaming replay loop
   RunnerExperiments,  ///< simulated collective experiments (all callers)
@@ -54,6 +53,7 @@ enum class Counter : unsigned {
   InternHits,         ///< schedule intern-cache lookups served
   InternBuilds,       ///< schedules built (cache miss, builder invoked)
   InternAdoptions,    ///< built schedules discarded for a racing winner's
+  InternEvictions,    ///< intern-cache entries dropped to stay in budget
   CacheHits,          ///< decision-cache entries loaded
   CacheMisses,        ///< decision-cache lookups with no usable entry
   CacheCorrupt,       ///< entries that read OK but failed to parse
@@ -88,6 +88,7 @@ enum class Gauge : unsigned {
   ServeStalenessMs, ///< oldest served decision image observed (ms): recorded
                     ///< at swap-out and sampled on the lookup path, so it
                     ///< advances even while the first image serves
+  InternPeakCachedBytes, ///< most heap bytes the schedule intern cache held
   NumGauges     ///< sentinel: number of gauges
 };
 

@@ -11,428 +11,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
-#include <deque>
-#include <queue>
-#include <unordered_map>
 
 using namespace mpicsel;
-
-namespace {
-
-/// Heap events. Dependency releases are handled inline (they occur at
-/// the same timestamp as the completion that triggered them); only
-/// future effects live on the heap. Channels are acquired at the
-/// moment the contender physically reaches them -- the injection
-/// channel when the CPU hands the message over, the drain channel
-/// when the first byte arrives -- so FIFO order matches physical
-/// arrival order rather than event-processing order.
-enum class EventKind : std::uint8_t {
-  /// A send's CPU work is done; contend for the injection channel.
-  TxAcquire,
-  /// A message's first byte reaches the destination node; contend for
-  /// the drain channel.
-  MsgArrival,
-  /// A message has fully drained and can match a posted receive.
-  MsgAvailable,
-  /// An operation finishes (Send injection done, Compute done, Recv
-  /// completion overhead paid).
-  OpDone,
-};
-
-struct Event {
-  double Time;
-  std::uint64_t Seq; // tie-breaker: creation order => determinism
-  EventKind Kind;
-  OpId Id; // the op concerned (for messages: the sending op)
-};
-
-struct EventLater {
-  bool operator()(const Event &A, const Event &B) const {
-    if (A.Time != B.Time)
-      return A.Time > B.Time;
-    return A.Seq > B.Seq;
-  }
-};
-
-/// FIFO matching state of one (src, dst, tag) channel.
-struct MatchChannel {
-  /// Messages that arrived before a receive was posted: available
-  /// time + payload size of each.
-  std::deque<std::pair<double, std::uint64_t>> ArrivedMsgs;
-  /// Receives posted before their message arrived.
-  std::deque<OpId> PostedRecvs;
-};
-
-/// The executor for one run. Single-threaded and strictly
-/// deterministic: the heap orders by (time, sequence) and dependents
-/// are activated in op-id order.
-class Executor {
-public:
-  /// \p FaultSched may be null (fault-free) and must otherwise stay
-  /// valid for the run; an empty schedule must be passed as null so
-  /// the unperturbed code path is taken.
-  Executor(const Schedule &Sched, const Platform &Plat, std::uint64_t Seed,
-           const FaultSchedule *FaultSched)
-      : S(Sched), P(Plat), Rng(Seed), RunSeed(Seed), Faults(FaultSched) {}
-
-  ExecutionResult run();
-
-private:
-  /// Noise factor for a cost paid at \p Now; fault noise-regime shifts
-  /// scale the sigma. The draw count is identical with and without
-  /// faults, so fault-free runs are bit-identical to pre-fault builds.
-  double noise(double Now) {
-    double Sigma = P.NoiseSigma;
-    if (Faults)
-      Sigma *= Faults->sigmaMultiplier(Now);
-    return Rng.nextLogNormalFactor(Sigma);
-  }
-
-  /// Straggler multiplier of \p Rank's CPU costs at \p Now.
-  double cpuFactor(unsigned Rank, double Now) const {
-    return Faults ? Faults->cpuMultiplier(Rank, Now) : 1.0;
-  }
-
-  void push(double Time, EventKind Kind, OpId Id) {
-    Heap.push(Event{Time, NextSeq++, Kind, Id});
-  }
-
-  /// Called when all deps of \p Id are satisfied at time \p Now.
-  void activateOp(OpId Id, double Now);
-
-  /// Send activation: pay the CPU initiation cost, then contend for
-  /// the injection channel at the moment the CPU is done.
-  void startSend(OpId Id, double Now);
-
-  /// The send's CPU work finished at \p Now: occupy the injection
-  /// channel and emit the message.
-  void onTxAcquire(OpId Id, double Now);
-
-  /// First byte of the message of send op \p Id reached the
-  /// destination at \p Now: occupy the drain channel.
-  void onMsgArrival(OpId Id, double Now);
-
-  /// Runs a Compute op through the CPU.
-  void startCompute(OpId Id, double Now);
-
-  /// A receive whose dependencies are done: match or enqueue.
-  void postRecv(OpId Id, double Now);
-
-  /// Pairs receive \p RecvId with a message fully drained by \p Now.
-  void completeRecv(OpId RecvId, double Now, std::uint64_t Bytes);
-
-  /// Marks \p Id done at \p Now and releases its dependents.
-  void finishOp(OpId Id, double Now);
-
-  std::uint64_t channelKey(unsigned Src, unsigned Dst, int Tag) const {
-    // Ranks are < 2^20 in any realistic platform; tags fit in 24 bits.
-    return (static_cast<std::uint64_t>(Src) << 44) |
-           (static_cast<std::uint64_t>(Dst) << 24) |
-           static_cast<std::uint64_t>(static_cast<std::uint32_t>(Tag) &
-                                      0xffffffu);
-  }
-
-  const Schedule &S;
-  const Platform &P;
-  Xoshiro256 Rng;
-  const std::uint64_t RunSeed;
-  const FaultSchedule *Faults;
-
-  std::priority_queue<Event, std::vector<Event>, EventLater> Heap;
-  std::uint64_t NextSeq = 0;
-
-  // Dependency bookkeeping.
-  std::vector<std::uint32_t> PendingDeps;
-  std::vector<std::vector<OpId>> Dependents;
-
-  // Resources: free-at times.
-  std::vector<double> CpuFree;   // per rank
-  std::vector<double> NicTxFree; // per node
-  std::vector<double> NicRxFree; // per node
-  std::vector<double> MemTxFree; // per node
-  std::vector<double> MemRxFree; // per node
-
-  // Per-send-op message state: when its last byte leaves the wire
-  // (drain cannot finish earlier even on an idle channel -- the data
-  // streams in at the injection rate).
-  std::vector<double> LastByteArrival;
-
-  std::unordered_map<std::uint64_t, MatchChannel> Channels;
-
-  // Per (src, dst, tag) channel monotonic clocks enforcing MPI's
-  // non-overtaking guarantee: a delayed message holds up everything
-  // behind it on its channel instead of being overtaken (which would
-  // mismatch the FIFO pairing). Arrival order needs the clamp even
-  // fault-free -- latency noise can reorder same-channel messages of
-  // different sizes. Availability stays FIFO by construction there
-  // (the drain channel serializes same-channel messages), so its
-  // clamp is only consulted under faults.
-  std::unordered_map<std::uint64_t, double> ChannelLastArrival;
-  std::unordered_map<std::uint64_t, double> ChannelLastAvail;
-
-  ExecutionResult Result;
-  std::uint32_t DoneCount = 0;
-};
-
-} // namespace
-
-void Executor::finishOp(OpId Id, double Now) {
-  OpTiming &T = Result.Timings[Id];
-  assert(!T.Done && "op finished twice");
-  T.Done = true;
-  T.DoneTime = Now;
-  Result.Makespan = std::max(Result.Makespan, Now);
-  ++DoneCount;
-  for (OpId Dep : Dependents[Id]) {
-    assert(PendingDeps[Dep] > 0 && "dependent already released");
-    if (--PendingDeps[Dep] == 0)
-      activateOp(Dep, Now);
-  }
-}
-
-void Executor::activateOp(OpId Id, double Now) {
-  const Op &O = S.op(Id);
-  Result.Timings[Id].ReadyTime = Now;
-  switch (O.Kind) {
-  case OpKind::Send:
-    startSend(Id, Now);
-    return;
-  case OpKind::Compute:
-    startCompute(Id, Now);
-    return;
-  case OpKind::Recv:
-    postRecv(Id, Now);
-    return;
-  }
-}
-
-void Executor::startSend(OpId Id, double Now) {
-  const Op &O = S.op(Id);
-  // CPU: the software cost of initiating the send. Acquisition
-  // happens now (activation order = FIFO on the CPU).
-  double CpuStart = std::max(Now, CpuFree[O.Rank]);
-  double CpuDone =
-      CpuStart + P.SendOverhead * noise(CpuStart) * cpuFactor(O.Rank, CpuStart);
-  CpuFree[O.Rank] = CpuDone;
-  Result.Timings[Id].StartTime = CpuStart;
-  push(CpuDone, EventKind::TxAcquire, Id);
-}
-
-void Executor::onTxAcquire(OpId Id, double Now) {
-  const Op &O = S.op(Id);
-  const LinkParams &Link = P.linkBetween(O.Rank, O.Peer);
-  bool Intra = P.sameNode(O.Rank, O.Peer);
-  unsigned SrcNode = P.nodeOf(O.Rank);
-
-  // Injection channel of the source node: FIFO in hand-over order.
-  // A degraded-link fault stretches the occupancy (background traffic
-  // sharing the channel).
-  double &TxFree = Intra ? MemTxFree[SrcNode] : NicTxFree[SrcNode];
-  double TxStart = std::max(Now, TxFree);
-  double TxOccupancy = Link.txOccupancy(O.Bytes) * noise(TxStart);
-  if (Faults && !Intra)
-    TxOccupancy *= Faults->txGapMultiplier(SrcNode, TxStart);
-  double TxDone = TxStart + TxOccupancy;
-  TxFree = TxDone;
-
-  // Local (buffered) completion once injected.
-  push(TxDone, EventKind::OpDone, Id);
-  Result.BytesSent[O.Rank] += O.Bytes;
-
-  // The message streams across the wire: its first byte lands
-  // Latency after injection starts, its last byte Latency after
-  // injection ends. Degraded links stretch the latency; latency
-  // spikes and stalls delay this message's bytes wholesale (a hung
-  // transfer is delayed, never dropped).
-  double Latency = Link.Latency * noise(TxStart);
-  if (Faults && !Intra) {
-    unsigned DstNode = P.nodeOf(O.Peer);
-    Latency *= Faults->latencyMultiplier(SrcNode, DstNode, TxStart);
-    Latency += Faults->messageDelay(RunSeed, Id, TxStart);
-    double &Prev = ChannelLastArrival[channelKey(O.Rank, O.Peer, O.Tag)];
-    double Arrival = std::max(TxStart + Latency, Prev);
-    Prev = Arrival;
-    LastByteArrival[Id] = Arrival + (TxDone - TxStart);
-    push(Arrival, EventKind::MsgArrival, Id);
-    return;
-  }
-  // Latency noise alone can invert same-channel first-byte order: a
-  // short message injected right behind a long one may draw a smaller
-  // latency and overtake it, which the strict arrival-order matcher
-  // would pair with the wrong receive. Enforce non-overtaking here
-  // too; the non-inverting case keeps the exact pre-clamp arithmetic
-  // so unaffected runs stay bit-identical.
-  const double Arrival = TxStart + Latency;
-  double &Prev = ChannelLastArrival[channelKey(O.Rank, O.Peer, O.Tag)];
-  if (Arrival >= Prev) {
-    Prev = Arrival;
-    LastByteArrival[Id] = TxDone + Latency;
-    push(Arrival, EventKind::MsgArrival, Id);
-    return;
-  }
-  LastByteArrival[Id] = Prev + (TxDone - TxStart);
-  push(Prev, EventKind::MsgArrival, Id);
-}
-
-void Executor::onMsgArrival(OpId Id, double Now) {
-  const Op &O = S.op(Id);
-  const LinkParams &Link = P.linkBetween(O.Rank, O.Peer);
-  bool Intra = P.sameNode(O.Rank, O.Peer);
-  unsigned DstNode = P.nodeOf(O.Peer);
-
-  // Drain channel of the destination node, acquired in first-byte-
-  // arrival order. The drain overlaps the injection: it cannot finish
-  // before the last byte leaves the wire, but it does not wait for it
-  // to start -- so an uncontended transfer costs one occupancy, not
-  // two (cut-through, not store-and-forward).
-  double &RxFree = Intra ? MemRxFree[DstNode] : NicRxFree[DstNode];
-  double RxStart = std::max(Now, RxFree);
-  double RxOccupancy = Link.rxOccupancy(O.Bytes) * noise(RxStart);
-  if (Faults && !Intra)
-    RxOccupancy *= Faults->rxGapMultiplier(DstNode, RxStart);
-  double RxDone = std::max(RxStart + RxOccupancy, LastByteArrival[Id]);
-  RxFree = RxDone;
-  if (Faults) {
-    double &Prev = ChannelLastAvail[channelKey(O.Rank, O.Peer, O.Tag)];
-    RxDone = std::max(RxDone, Prev);
-    Prev = RxDone;
-  }
-  push(RxDone, EventKind::MsgAvailable, Id);
-}
-
-void Executor::startCompute(OpId Id, double Now) {
-  const Op &O = S.op(Id);
-  double CpuStart = std::max(Now, CpuFree[O.Rank]);
-  double CpuDone = CpuStart + O.Duration * cpuFactor(O.Rank, CpuStart);
-  CpuFree[O.Rank] = CpuDone;
-  Result.Timings[Id].StartTime = CpuStart;
-  if (CpuDone == Now) {
-    // Zero-length join: finish inline to avoid flooding the heap.
-    finishOp(Id, Now);
-    return;
-  }
-  push(CpuDone, EventKind::OpDone, Id);
-}
-
-void Executor::postRecv(OpId Id, double Now) {
-  const Op &O = S.op(Id);
-  MatchChannel &Channel = Channels[channelKey(O.Peer, O.Rank, O.Tag)];
-  if (!Channel.ArrivedMsgs.empty()) {
-    auto [AvailTime, Bytes] = Channel.ArrivedMsgs.front();
-    Channel.ArrivedMsgs.pop_front();
-    assert(AvailTime <= Now && "message matched before it arrived");
-    completeRecv(Id, Now, Bytes);
-    return;
-  }
-  Channel.PostedRecvs.push_back(Id);
-}
-
-void Executor::completeRecv(OpId RecvId, double Now, std::uint64_t Bytes) {
-  const Op &O = S.op(RecvId);
-  assert(O.Bytes == Bytes && "matched message size mismatch");
-  double CpuStart = std::max(Now, CpuFree[O.Rank]);
-  double CpuDone =
-      CpuStart + P.RecvOverhead * noise(CpuStart) * cpuFactor(O.Rank, CpuStart);
-  CpuFree[O.Rank] = CpuDone;
-  Result.Timings[RecvId].StartTime = CpuStart;
-  Result.BytesReceived[O.Rank] += Bytes;
-  push(CpuDone, EventKind::OpDone, RecvId);
-}
-
-ExecutionResult Executor::run() {
-  const std::uint32_t NumOps = static_cast<std::uint32_t>(S.Ops.size());
-  Result.Timings.assign(NumOps, OpTiming());
-  Result.BytesReceived.assign(S.RankCount, 0);
-  Result.BytesSent.assign(S.RankCount, 0);
-  LastByteArrival.assign(NumOps, 0.0);
-
-  PendingDeps.assign(NumOps, 0);
-  Dependents.assign(NumOps, {});
-  for (OpId Id = 0; Id != NumOps; ++Id) {
-    const Op &O = S.Ops[Id];
-    PendingDeps[Id] = static_cast<std::uint32_t>(O.Deps.size());
-    for (OpId Dep : O.Deps)
-      Dependents[Dep].push_back(Id);
-  }
-
-  CpuFree.assign(S.RankCount, 0.0);
-  NicTxFree.assign(P.NodeCount, 0.0);
-  NicRxFree.assign(P.NodeCount, 0.0);
-  MemTxFree.assign(P.NodeCount, 0.0);
-  MemRxFree.assign(P.NodeCount, 0.0);
-
-  // Activate the roots of the DAG at t = 0, in op-id order. Gate on
-  // the static dependency list, not the live counter: a zero-duration
-  // root finishing inline during this loop already releases (and
-  // activates) its dependents, whose counters then read zero.
-  for (OpId Id = 0; Id != NumOps; ++Id)
-    if (S.Ops[Id].Deps.empty())
-      activateOp(Id, 0.0);
-
-  while (!Heap.empty()) {
-    Event E = Heap.top();
-    Heap.pop();
-    switch (E.Kind) {
-    case EventKind::TxAcquire:
-      onTxAcquire(E.Id, E.Time);
-      break;
-    case EventKind::MsgArrival:
-      onMsgArrival(E.Id, E.Time);
-      break;
-    case EventKind::OpDone:
-      finishOp(E.Id, E.Time);
-      break;
-    case EventKind::MsgAvailable: {
-      const Op &SendOp = S.op(E.Id);
-      MatchChannel &Channel =
-          Channels[channelKey(SendOp.Rank, SendOp.Peer, SendOp.Tag)];
-      if (!Channel.PostedRecvs.empty()) {
-        OpId RecvId = Channel.PostedRecvs.front();
-        Channel.PostedRecvs.pop_front();
-        completeRecv(RecvId, E.Time, SendOp.Bytes);
-      } else {
-        Channel.ArrivedMsgs.emplace_back(E.Time, SendOp.Bytes);
-      }
-      break;
-    }
-    }
-  }
-
-  Result.Completed = DoneCount == NumOps;
-  if (Faults) {
-    Result.FaultWindows = Faults->windows(Result.Makespan);
-    Result.FaultScenario = Faults->name();
-  }
-  if (!Result.Completed) {
-    // List every never-completed operation (capped), not just the
-    // first: the shape of the stuck set is usually what identifies
-    // the bug (one stuck rank vs. a cross-rank wait cycle).
-    constexpr unsigned MaxListed = 8;
-    unsigned Stuck = 0;
-    std::string Detail;
-    for (OpId Id = 0; Id != NumOps; ++Id) {
-      if (Result.Timings[Id].Done)
-        continue;
-      if (Stuck++ < MaxListed) {
-        const Op &O = S.Ops[Id];
-        Detail += strFormat(
-            "\n  op %u on rank %u (%s peer=%u tag=%d bytes=%llu)", Id,
-            O.Rank,
-            O.Kind == OpKind::Send
-                ? "send"
-                : (O.Kind == OpKind::Recv ? "recv" : "compute"),
-            O.Peer, O.Tag,
-            static_cast<unsigned long long>(O.Bytes));
-      }
-    }
-    if (Stuck > MaxListed)
-      Detail += strFormat("\n  ... and %u more", Stuck - MaxListed);
-    Result.Diagnostic =
-        strFormat("deadlock: %u of %u ops never completed:%s", Stuck,
-                  static_cast<unsigned>(NumOps), Detail.c_str());
-  }
-  return std::move(Result);
-}
 
 namespace {
 
@@ -494,43 +74,37 @@ void crossCheckPreflight(ExecutionResult &Result, const VerifyReport &Report) {
 
 } // namespace
 
-ExecutionResult mpicsel::runScheduleLegacy(const Schedule &S,
-                                           const Platform &P,
-                                           std::uint64_t Seed,
-                                           const FaultSchedule *Faults) {
-  for ([[maybe_unused]] const Op &O : S.Ops)
-    assert(O.Rank < S.RankCount && "schedule rank outside platform");
-  assert(S.RankCount <= P.maxProcs() &&
-         "schedule does not fit on the platform");
-
-  Faults = resolveFaultSchedule(Faults);
-
-  // Optional static pre-flight: prove the schedule deadlock-free (or
-  // not) before spending any simulated time on it.
-  const bool Preflight = preflightVerificationEnabled();
-  VerifyReport Report;
-  if (Preflight)
-    Report = verifySchedule(S);
-
-  Executor Exec(S, P, Seed, Faults);
-  ExecutionResult Result = Exec.run();
-  obs::bump(obs::Counter::EngineLegacyRuns);
-
-  if (Preflight)
-    crossCheckPreflight(Result, Report);
-  return Result;
-}
-
 //===----------------------------------------------------------------------===//
 // Compiled replay
 //===----------------------------------------------------------------------===//
 
 namespace {
 
+/// Heap events. Dependency releases are handled inline (they occur at
+/// the same timestamp as the completion that triggered them); only
+/// future effects live on the heap. Channels are acquired at the
+/// moment the contender physically reaches them -- the injection
+/// channel when the CPU hands the message over, the drain channel
+/// when the first byte arrives -- so FIFO order matches physical
+/// arrival order rather than event-processing order.
+enum class EventKind : std::uint8_t {
+  /// A send's CPU work is done; contend for the injection channel.
+  TxAcquire,
+  /// A message's first byte reaches the destination node; contend for
+  /// the drain channel.
+  MsgArrival,
+  /// A message has fully drained and can match a posted receive.
+  MsgAvailable,
+  /// An operation finishes (Send injection done, Compute done, Recv
+  /// completion overhead paid).
+  OpDone,
+};
+
 /// A compiled-replay heap event, packed to 16 bytes:
 /// Key = Seq << 34 | Kind << 32 | Id. The creation sequence occupies
 /// the top bits, so ordering equal-Time events by Key reproduces the
-/// legacy (Time, Seq) tiebreak with a single integer compare.
+/// (Time, Seq) tiebreak of the legacy oracle (tests/oracle) with a
+/// single integer compare.
 struct ReplayEvent {
   double Time;
   std::uint64_t Key;
@@ -587,8 +161,8 @@ struct Engine::RunState {
   std::vector<std::uint32_t> RecvHead;
   std::vector<std::uint32_t> RecvTail;
 
-  // Per-channel monotonic clocks for the fault path's non-overtaking
-  // clamps (the legacy engine's hash maps, as dense arrays).
+  // Per-channel monotonic clocks for the non-overtaking clamps: first-
+  // byte arrival on every run, availability under faults only.
   std::vector<double> ChanLastArrival;
   std::vector<double> ChanLastAvail;
 
@@ -597,8 +171,9 @@ struct Engine::RunState {
 
 namespace {
 
-/// The compiled-replay twin of Executor: identical event semantics and
-/// noise-draw order over the flat IR, with all mutable state borrowed
+/// The compiled replay: the legacy oracle's event semantics and
+/// noise-draw order (tests/oracle/LegacyEngine.cpp) over the flat IR,
+/// with all mutable state borrowed
 /// from a reusable Engine::RunState. Readiness is decrement-indegree
 /// over the CSR successor rows; the event queue is a 4-ary min-heap
 /// over the same (time, sequence) key -- that key is a strict total
@@ -982,35 +557,9 @@ const ExecutionResult &Engine::run(const CompiledSchedule &CS,
   return State->Result;
 }
 
-namespace {
-
-EngineMode envEngineMode() {
-  const char *Value = std::getenv("MPICSEL_ENGINE");
-  if (Value && std::string(Value) == "legacy")
-    return EngineMode::Legacy;
-  return EngineMode::Compiled;
-}
-
-std::atomic<EngineMode> &engineModeFlag() {
-  static std::atomic<EngineMode> Mode{envEngineMode()};
-  return Mode;
-}
-
-} // namespace
-
-EngineMode mpicsel::engineMode() {
-  return engineModeFlag().load(std::memory_order_relaxed);
-}
-
-void mpicsel::setEngineMode(EngineMode Mode) {
-  engineModeFlag().store(Mode, std::memory_order_relaxed);
-}
-
 ExecutionResult mpicsel::runSchedule(const Schedule &S, const Platform &P,
                                      std::uint64_t Seed,
                                      const FaultSchedule *Faults) {
-  if (engineMode() == EngineMode::Legacy)
-    return runScheduleLegacy(S, P, Seed, Faults);
   // One-shot compile + replay. Loops that re-execute one schedule
   // should compile once (or intern, mpi/ScheduleIntern.h) and drive a
   // long-lived Engine directly; this facade keeps the historical

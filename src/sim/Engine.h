@@ -109,30 +109,6 @@ ExecutionResult runSchedule(const Schedule &S, const Platform &P,
                             std::uint64_t Seed = 0,
                             const FaultSchedule *Faults = nullptr);
 
-/// The original heap-walking interpreter, kept verbatim behind this
-/// entry point as the differential-testing oracle for the compiled
-/// engine (tests/TestCompiledSchedule.cpp). Semantics and results are
-/// identical to runSchedule; only the execution machinery differs.
-ExecutionResult runScheduleLegacy(const Schedule &S, const Platform &P,
-                                  std::uint64_t Seed = 0,
-                                  const FaultSchedule *Faults = nullptr);
-
-/// Which machinery runSchedule dispatches to.
-enum class EngineMode : std::uint8_t {
-  /// Compile the schedule and replay it through Engine (default).
-  Compiled,
-  /// The original per-Op interpreter.
-  Legacy,
-};
-
-/// The process-wide engine mode. The initial value is taken from the
-/// MPICSEL_ENGINE environment variable ("legacy" selects the legacy
-/// interpreter); anything else, or no variable, selects Compiled.
-EngineMode engineMode();
-
-/// Overrides the process-wide engine mode (differential tests).
-void setEngineMode(EngineMode Mode);
-
 /// Replays compiled schedules with all per-run mutable state held in a
 /// reusable arena: after the first run of a given schedule shape, a
 /// run performs no heap allocation at all (bench/micro_engine asserts
@@ -142,7 +118,9 @@ void setEngineMode(EngineMode Mode);
 /// run() returns a reference to the engine's internal result, valid
 /// until the next run() on the same Engine -- copy it to keep it.
 /// Semantics (noise draws, event ordering, fault handling, pre-flight
-/// verification) are bit-identical to runSchedule/runScheduleLegacy.
+/// verification) are bit-identical to runSchedule and to the legacy
+/// reference interpreter the tests keep as an oracle
+/// (tests/oracle/LegacyEngine.h).
 class Engine {
 public:
   Engine();

@@ -209,8 +209,20 @@ private:
                 Arrival + (TxDone - TxStart));
       return;
     }
-    pushEvent(TxStart + Latency, EventKind::MsgArrival, Rank, Local,
-              TxDone + Latency);
+    // Latency noise alone can let a segment overtake the previous one
+    // on its channel; clamp exactly as the compiled engine does
+    // (sim/Engine.cpp), keeping the pre-clamp arithmetic when no
+    // inversion happens.
+    const double Arrival = TxStart + Latency;
+    double &Prev = E.ChanLastArrival[Peer];
+    if (Arrival >= Prev) {
+      Prev = Arrival;
+      pushEvent(Arrival, EventKind::MsgArrival, Rank, Local,
+                TxDone + Latency);
+      return;
+    }
+    pushEvent(Prev, EventKind::MsgArrival, Rank, Local,
+              Prev + (TxDone - TxStart));
   }
 
   void onMsgArrival(unsigned Rank, std::uint64_t Local, double Now,
@@ -451,10 +463,9 @@ void StreamExecutor::run() {
   E.PoolFreeHead = StreamEngine::NoSlot;
   E.Events.reset();
 
-  if (Faults) {
-    E.ChanLastArrival.assign(RankCount, 0.0);
+  E.ChanLastArrival.assign(RankCount, 0.0);
+  if (Faults)
     E.ChanLastAvail.assign(RankCount, 0.0);
-  }
   if (Faults || Opts.RecordTimings) {
     assert(TotalOps <= 0xffffffffu &&
            "op ids overflow OpId; run without faults/timings at this scale");

@@ -126,12 +126,14 @@ private:
   std::vector<ArrivalSlot> Pool;
   std::uint32_t PoolFreeHead = NoSlot;
 
-  // Fault-path state: per-edge non-overtaking clocks (indexed by the
-  // receiving rank) and the global op-id base of every rank's block
-  // (message-delay decisions hash the global send-op id). Sized only
-  // when a fault schedule is active.
+  // Per-edge non-overtaking clocks, indexed by the receiving rank: the
+  // arrival clock on every run (latency noise alone can invert a
+  // channel), the availability clock only under faults.
   std::vector<double> ChanLastArrival;
   std::vector<double> ChanLastAvail;
+  // The global op-id base of every rank's block (message-delay
+  // decisions hash the global send-op id). Sized only under faults or
+  // timing recording.
   std::vector<std::uint64_t> OpBases;
 
   ExecutionResult Result;

@@ -148,16 +148,17 @@ class Analyzer {
 public:
   Analyzer(const Schedule &Sched, const ScheduleContract *Contr,
            const VerifyOptions &Options)
-      : S(Sched), Contract(Contr), Opts(Options) {}
+      : S(&Sched), NumOps(static_cast<OpId>(Sched.Ops.size())),
+        RankCount(Sched.RankCount), Contract(Contr), Opts(Options) {}
 
-  /// Compiled-schedule analysis: every dependency read goes through
-  /// the CSR arrays, so the artifact the engine executes is the
-  /// artifact this verifies (op fields still come from the retained
-  /// source schedule -- compilation copies them field for field).
+  /// Compiled-schedule analysis: every op field and dependency read
+  /// goes through the compiled columns and CSR arrays, so the artifact
+  /// the engine executes is the artifact this verifies. The retained
+  /// source schedule is never consulted (interned entries drop it).
   Analyzer(const CompiledSchedule &Compiled, const ScheduleContract *Contr,
            const VerifyOptions &Options)
-      : S(Compiled.Source), CS(&Compiled), Contract(Contr),
-        Opts(Options) {}
+      : CS(&Compiled), NumOps(Compiled.numOps()),
+        RankCount(Compiled.RankCount), Contract(Contr), Opts(Options) {}
 
   VerifyReport run();
 
@@ -184,16 +185,39 @@ private:
   /// edges. Consumes from the shared budget.
   bool reaches(OpId From, std::span<const OpId> Targets);
 
+  /// The fields of one op, by value.
+  struct OpFields {
+    OpKind Kind;
+    unsigned Rank;
+    unsigned Peer;
+    std::uint64_t Bytes;
+    int Tag;
+    double Duration;
+  };
+
+  /// Fields of \p Id: the compiled columns when analysing a compiled
+  /// schedule, the builder-IR op otherwise.
+  OpFields op(OpId Id) const {
+    if (CS)
+      return {CS->Kind[Id],    CS->OpRank[Id], CS->OpPeer[Id],
+              CS->OpBytes[Id], CS->OpTag[Id],  CS->OpDuration[Id]};
+    const Op &O = S->Ops[Id];
+    return {O.Kind, O.Rank, O.Peer, O.Bytes, O.Tag, O.Duration};
+  }
+
   /// Dependencies of \p Id: the CSR row when analysing a compiled
   /// schedule, the builder-IR vector otherwise.
   std::span<const OpId> deps(OpId Id) const {
     if (CS)
       return CS->depsOf(Id);
-    return S.Ops[Id].Deps;
+    return S->Ops[Id].Deps;
   }
 
-  const Schedule &S;
+  /// Exactly one of S and CS is set.
+  const Schedule *S = nullptr;
   const CompiledSchedule *CS = nullptr;
+  const OpId NumOps;
+  const unsigned RankCount;
   const ScheduleContract *Contract;
   const VerifyOptions &Opts;
   VerifyReport Report;
@@ -234,27 +258,26 @@ void Analyzer::finding(Severity Sev, CheckKind Check, OpId Id, unsigned Rank,
 }
 
 bool Analyzer::checkStructure() {
-  if (S.RankCount == 0) {
+  if (RankCount == 0) {
     finding(Severity::Error, CheckKind::Structure, InvalidOpId,
             VerifyFinding::InvalidRank, "schedule has zero ranks");
     return false;
   }
-  const OpId NumOps = static_cast<OpId>(S.Ops.size());
   Malformed.assign(NumOps, false);
   Dependents.assign(NumOps, {});
 
   for (OpId Id = 0; Id != NumOps; ++Id) {
-    const Op &O = S.Ops[Id];
-    if (O.Rank >= S.RankCount) {
+    const OpFields O = op(Id);
+    if (O.Rank >= RankCount) {
       finding(Severity::Error, CheckKind::Structure, Id, O.Rank,
               strFormat("rank %u outside the %u-rank communicator", O.Rank,
-                        S.RankCount));
+                        RankCount));
       Malformed[Id] = true;
     }
-    if (O.Kind != OpKind::Compute && O.Peer >= S.RankCount) {
+    if (O.Kind != OpKind::Compute && O.Peer >= RankCount) {
       finding(Severity::Error, CheckKind::Structure, Id, O.Rank,
               strFormat("peer %u outside the %u-rank communicator", O.Peer,
-                        S.RankCount));
+                        RankCount));
       Malformed[Id] = true;
     }
     if (O.Kind == OpKind::Compute && O.Duration < 0)
@@ -270,11 +293,11 @@ bool Analyzer::checkStructure() {
       if (Dep == Id)
         finding(Severity::Error, CheckKind::Structure, Id, O.Rank,
                 "op depends on itself");
-      if (!Malformed[Id] && S.Ops[Dep].Rank != O.Rank)
+      if (!Malformed[Id] && op(Dep).Rank != O.Rank)
         finding(Severity::Error, CheckKind::Structure, Id, O.Rank,
                 strFormat("cross-rank dependency on op %u of rank %u (MPI "
                           "processes wait only on their own requests)",
-                          Dep, S.Ops[Dep].Rank));
+                          Dep, op(Dep).Rank));
       Dependents[Dep].push_back(Id);
     }
   }
@@ -303,16 +326,15 @@ bool Analyzer::checkStructure() {
   if (Ordered != NumOps)
     for (OpId Id = 0; Id != NumOps; ++Id)
       if (Pending[Id] != 0)
-        finding(Severity::Error, CheckKind::Structure, Id, S.Ops[Id].Rank,
+        finding(Severity::Error, CheckKind::Structure, Id, op(Id).Rank,
                 "op is part of a dependency cycle");
   return true;
 }
 
 void Analyzer::buildChannels() {
-  const OpId NumOps = static_cast<OpId>(S.Ops.size());
   PosOf.assign(NumOps, {});
   for (OpId Id = 0; Id != NumOps; ++Id) {
-    const Op &O = S.Ops[Id];
+    const OpFields O = op(Id);
     if (O.Kind == OpKind::Compute || Malformed[Id])
       continue;
     ChannelKey Key = O.Kind == OpKind::Send
@@ -332,7 +354,7 @@ void Analyzer::buildChannels() {
 }
 
 void Analyzer::checkMatching() {
-  MatchOf.assign(S.Ops.size(), InvalidOpId);
+  MatchOf.assign(NumOps, InvalidOpId);
   for (auto &[Key, Chan] : Channels) {
     const auto [Src, Dst, Tag] = Key;
     std::size_t Paired = std::min(Chan.Sends.size(), Chan.Recvs.size());
@@ -340,12 +362,12 @@ void Analyzer::checkMatching() {
       OpId SendId = Chan.Sends[K], RecvId = Chan.Recvs[K];
       MatchOf[SendId] = RecvId;
       MatchOf[RecvId] = SendId;
-      if (S.Ops[SendId].Bytes != S.Ops[RecvId].Bytes)
+      if (op(SendId).Bytes != op(RecvId).Bytes)
         finding(Severity::Error, CheckKind::Matching, RecvId, Dst,
                 strFormat("recv of %llu bytes matches send op %u of %llu "
                           "bytes (%u -> %u, tag %d, message #%zu)",
-                          (unsigned long long)S.Ops[RecvId].Bytes, SendId,
-                          (unsigned long long)S.Ops[SendId].Bytes, Src, Dst,
+                          (unsigned long long)op(RecvId).Bytes, SendId,
+                          (unsigned long long)op(SendId).Bytes, Src, Dst,
                           Tag, K));
     }
     for (std::size_t K = Paired; K < Chan.Sends.size(); ++K)
@@ -399,7 +421,7 @@ bool Analyzer::reaches(OpId From, std::span<const OpId> Targets) {
     for (OpId Next : Dependents[Id])
       if (follow(Next))
         return true;
-    const Op &O = S.Ops[Id];
+    const OpFields O = op(Id);
     if (O.Kind == OpKind::Send && MatchOf[Id] != InvalidOpId &&
         follow(MatchOf[Id]))
       return true;
@@ -458,8 +480,8 @@ void Analyzer::checkAmbiguity() {
     auto checkRun = [&](const std::vector<OpId> &Run, const char *What,
                         unsigned Rank) {
       for (std::size_t K = 0; K + 1 < Run.size(); ++K) {
-        const Op &A = S.Ops[Run[K]];
-        const Op &B = S.Ops[Run[K + 1]];
+        const OpFields A = op(Run[K]);
+        const OpFields B = op(Run[K + 1]);
         if (A.Bytes == B.Bytes)
           continue; // Reordering equal sizes never changes outcomes.
         // The proof may walk the channel's FIFO edges below this
@@ -494,13 +516,12 @@ void Analyzer::checkAmbiguity() {
 }
 
 void Analyzer::checkDeadlock() {
-  const OpId NumOps = static_cast<OpId>(S.Ops.size());
   // An op completes iff its valid dependencies complete and, for a
   // matched recv, its send completes; unmatched recvs never do.
   // Monotone fixpoint via Kahn over the dependency + match graph.
   std::vector<std::uint32_t> Waits(NumOps, 0);
   for (OpId Id = 0; Id != NumOps; ++Id) {
-    const Op &O = S.Ops[Id];
+    const OpFields O = op(Id);
     for (OpId Dep : deps(Id))
       if (Dep < NumOps)
         ++Waits[Id];
@@ -524,7 +545,7 @@ void Analyzer::checkDeadlock() {
       --Waits[Next];
       release(Next);
     }
-    if (S.Ops[Id].Kind == OpKind::Send && MatchOf[Id] != InvalidOpId) {
+    if (op(Id).Kind == OpKind::Send && MatchOf[Id] != InvalidOpId) {
       OpId RecvId = MatchOf[Id];
       --Waits[RecvId];
       release(RecvId);
@@ -538,7 +559,7 @@ void Analyzer::checkDeadlock() {
     return;
 
   finding(Severity::Error, CheckKind::Deadlock, Report.NeverCompleting[0],
-          S.Ops[Report.NeverCompleting[0]].Rank,
+          op(Report.NeverCompleting[0]).Rank,
           strFormat("guaranteed deadlock: %zu of %u ops can never complete",
                     Report.NeverCompleting.size(), NumOps));
 
@@ -547,7 +568,7 @@ void Analyzer::checkDeadlock() {
   // matched send is itself stuck.
   unsigned Named = 0;
   for (OpId Id : Report.NeverCompleting) {
-    const Op &O = S.Ops[Id];
+    const OpFields O = op(Id);
     bool DepsOk = true;
     for (OpId Dep : deps(Id))
       DepsOk &= Dep < NumOps && Completes[Dep];
@@ -588,7 +609,7 @@ void Analyzer::checkDeadlock() {
         Blocker = Dep;
         break;
       }
-    if (Blocker == InvalidOpId && S.Ops[Cur].Kind == OpKind::Recv &&
+    if (Blocker == InvalidOpId && op(Cur).Kind == OpKind::Recv &&
         MatchOf[Cur] != InvalidOpId && !Completes[MatchOf[Cur]])
       Blocker = MatchOf[Cur];
     if (Blocker == InvalidOpId)
@@ -601,20 +622,20 @@ void Analyzer::checkDeadlock() {
     In |= Id == Cur;
     if (!In)
       continue;
-    const Op &O = S.Ops[Id];
+    const OpFields O = op(Id);
     Cycle += strFormat("op %u (rank %u %s", Id, O.Rank, opKindName(O.Kind));
     if (O.Kind != OpKind::Compute)
       Cycle += strFormat(" peer=%u tag=%d", O.Peer, O.Tag);
     Cycle += ") waits for ";
   }
   Cycle += strFormat("op %u", Cur);
-  finding(Severity::Error, CheckKind::Deadlock, Cur, S.Ops[Cur].Rank,
+  finding(Severity::Error, CheckKind::Deadlock, Cur, op(Cur).Rank,
           "wait-for cycle: " + Cycle);
 }
 
 void Analyzer::checkContract() {
   const ScheduleContract &C = *Contract;
-  const unsigned P = S.RankCount;
+  const unsigned P = RankCount;
   auto covers = [&](const auto &Vec) { return Vec.size() == P; };
   auto sized = [&](const auto &Vec, const char *What) {
     if (Vec.empty() || covers(Vec))
@@ -629,8 +650,8 @@ void Analyzer::checkContract() {
 
   std::vector<std::uint64_t> Recv(P, 0), Sent(P, 0);
   std::vector<std::uint32_t> RecvN(P, 0), SentN(P, 0);
-  for (OpId Id = 0, E = static_cast<OpId>(S.Ops.size()); Id != E; ++Id) {
-    const Op &O = S.Ops[Id];
+  for (OpId Id = 0; Id != NumOps; ++Id) {
+    const OpFields O = op(Id);
     if (Malformed[Id])
       continue;
     if (O.Kind == OpKind::Recv) {
@@ -703,7 +724,7 @@ void Analyzer::checkContract() {
     std::size_t Paired = std::min(Chan.Sends.size(), Chan.Recvs.size());
     bool Payload = false;
     for (std::size_t K = 0; K != Paired && !Payload; ++K)
-      Payload = S.Ops[Chan.Sends[K]].Bytes > 0;
+      Payload = op(Chan.Sends[K]).Bytes > 0;
     if (!Payload)
       continue;
     unsigned Src = std::get<0>(Key), Dst = std::get<1>(Key);
@@ -740,8 +761,8 @@ void Analyzer::checkContract() {
 }
 
 void Analyzer::checkLints() {
-  for (OpId Id = 0, E = static_cast<OpId>(S.Ops.size()); Id != E; ++Id) {
-    const Op &O = S.Ops[Id];
+  for (OpId Id = 0; Id != NumOps; ++Id) {
+    const OpFields O = op(Id);
     if (Malformed[Id])
       continue;
     if (O.Kind != OpKind::Compute && O.Peer == O.Rank)

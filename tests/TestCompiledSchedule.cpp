@@ -25,6 +25,7 @@
 #include "fault/Fault.h"
 #include "mpi/CompiledSchedule.h"
 #include "mpi/ScheduleIntern.h"
+#include "oracle/LegacyEngine.h"
 #include "sim/Engine.h"
 #include "stat/ParallelSweep.h"
 
@@ -369,24 +370,22 @@ TEST(CompiledSchedule, EightThreadSweepMatchesSerial) {
 }
 
 //===----------------------------------------------------------------------===//
-// Dispatch, deadlock parity, arena reuse, structure.
+// Facade, deadlock parity, arena reuse, structure.
 //===----------------------------------------------------------------------===//
 
-TEST(CompiledSchedule, RunScheduleDispatchesBothModes) {
+TEST(CompiledSchedule, RunScheduleMatchesLegacyOracle) {
+  // The one-shot facade compiles and replays; the oracle interprets
+  // the same builder IR directly.
   Platform P = testPlatform();
   ScheduleBuilder B(16);
   appendBarrier(B, 0);
   Schedule S = B.take();
 
-  const EngineMode Saved = engineMode();
-  setEngineMode(EngineMode::Legacy);
-  ExecutionResult Legacy = runSchedule(S, P, 5);
-  setEngineMode(EngineMode::Compiled);
+  ExecutionResult Legacy = runScheduleLegacy(S, P, 5);
   ExecutionResult Compiled = runSchedule(S, P, 5);
-  setEngineMode(Saved);
 
   ASSERT_TRUE(Legacy.Completed);
-  expectBitIdentical(Legacy, Compiled, "runSchedule dispatch");
+  expectBitIdentical(Legacy, Compiled, "runSchedule vs oracle");
 }
 
 TEST(CompiledSchedule, DeadlockParityWithLegacy) {

@@ -19,6 +19,7 @@
 #include "cluster/Platform.h"
 #include "coll/Allreduce.h"
 #include "mpi/Schedule.h"
+#include "oracle/LegacyEngine.h"
 
 #include <gtest/gtest.h>
 

@@ -19,8 +19,10 @@
 #include "model/Gamma.h"
 #include "model/Runner.h"
 #include "mpi/ScheduleIntern.h"
+#include "sim/Engine.h"
 #include "stat/ParallelSweep.h"
 #include "support/ThreadPool.h"
+#include "verify/Verifier.h"
 
 #include <gtest/gtest.h>
 
@@ -76,6 +78,44 @@ void expectModelsIdentical(const CalibratedModels &A,
     EXPECT_EQ(CA.Fit.Rmse, CB.Fit.Rmse);
     EXPECT_EQ(CA.Fit.R2, CB.Fit.R2);
     EXPECT_EQ(CA.Fit.Valid, CB.Fit.Valid);
+  }
+}
+
+/// The schedule the bounded-cache tests intern under key "test|m=<m>":
+/// a segmented 16-rank binomial broadcast, a few tens of KB compiled.
+BuiltSchedule buildBcastEntry(std::uint64_t MessageBytes) {
+  ScheduleBuilder B(16);
+  BcastConfig Config;
+  Config.Algorithm = BcastAlgorithm::Binomial;
+  Config.MessageBytes = MessageBytes;
+  Config.SegmentBytes = 8 * 1024;
+  BuiltSchedule Built;
+  Built.Exit = appendBcast(B, Config);
+  Built.S = B.take();
+  return Built;
+}
+
+InternedScheduleRef internBcastEntry(ScheduleInternCache &Cache,
+                                     std::uint64_t MessageBytes) {
+  return Cache.intern("test|m=" + std::to_string(MessageBytes),
+                      [&] { return buildBcastEntry(MessageBytes); });
+}
+
+/// Replays \p IS once and returns a copy of the full result.
+ExecutionResult replay(const InternedScheduleRef &IS, std::uint64_t Seed) {
+  Engine E;
+  return E.run(IS->Compiled, smallCluster(), Seed);
+}
+
+void expectSameTimeline(const ExecutionResult &A, const ExecutionResult &B) {
+  ASSERT_TRUE(A.Completed);
+  ASSERT_TRUE(B.Completed);
+  EXPECT_EQ(A.Makespan, B.Makespan);
+  ASSERT_EQ(A.Timings.size(), B.Timings.size());
+  for (std::size_t Id = 0; Id != A.Timings.size(); ++Id) {
+    EXPECT_EQ(A.Timings[Id].ReadyTime, B.Timings[Id].ReadyTime) << Id;
+    EXPECT_EQ(A.Timings[Id].StartTime, B.Timings[Id].StartTime) << Id;
+    EXPECT_EQ(A.Timings[Id].DoneTime, B.Timings[Id].DoneTime) << Id;
   }
 }
 
@@ -439,4 +479,136 @@ TEST(ScheduleIntern, ConcurrentInternsSharePointerIdenticalEntry) {
   EXPECT_GE(Stats.Misses, 1u);
   EXPECT_EQ(Stats.Hits + Stats.Misses, NumWorkers);
   Cache.clear();
+}
+
+//===----------------------------------------------------------------------===//
+// The byte budget: eviction keeps memory at the working set without
+// changing a single result.
+//===----------------------------------------------------------------------===//
+
+TEST(ScheduleIntern, CachedBytesNeverExceedBudget) {
+  // Room for a few entries, so a sweep over twelve keys must evict.
+  ScheduleInternCache Probe;
+  const std::size_t EntryBytes =
+      internBcastEntry(Probe, 64 * 1024)->Compiled.heapBytes();
+  ScheduleInternCache Cache(4 * EntryBytes);
+
+  for (unsigned Round = 0; Round != 3; ++Round)
+    for (std::uint64_t Kb = 48; Kb != 96; Kb += 4) {
+      internBcastEntry(Cache, Kb * 1024);
+      const ScheduleInternCache::CacheStats Stats = Cache.stats();
+      EXPECT_LE(Stats.CachedBytes, Cache.budgetBytes()) << Kb;
+      EXPECT_GE(Stats.Entries, 1u);
+    }
+  const ScheduleInternCache::CacheStats Stats = Cache.stats();
+  EXPECT_GT(Stats.Evictions, 0u);
+  EXPECT_LE(Stats.PeakCachedBytes, Cache.budgetBytes());
+  EXPECT_EQ(Stats.Hits + Stats.Misses, 36u);
+  EXPECT_EQ(Stats.Misses - Stats.Evictions, Stats.Entries);
+}
+
+TEST(ScheduleIntern, OversizedEntryStaysUntilTheNextInsert) {
+  // An entry larger than the whole budget is still served: the entry
+  // just inserted is never the one evicted.
+  ScheduleInternCache Cache(1);
+  InternedScheduleRef A = internBcastEntry(Cache, 64 * 1024);
+  EXPECT_EQ(Cache.stats().Entries, 1u);
+  EXPECT_EQ(internBcastEntry(Cache, 64 * 1024).get(), A.get());
+  internBcastEntry(Cache, 32 * 1024);
+  EXPECT_EQ(Cache.stats().Entries, 1u);
+  EXPECT_EQ(Cache.stats().Evictions, 1u);
+}
+
+TEST(ScheduleIntern, HitRefreshesRecency) {
+  ScheduleInternCache Probe;
+  const std::size_t EntryBytes =
+      internBcastEntry(Probe, 64 * 1024)->Compiled.heapBytes();
+  // Two 64 KiB-class entries fit, a third does not.
+  ScheduleInternCache Cache(2 * EntryBytes + EntryBytes / 2);
+  InternedScheduleRef A = internBcastEntry(Cache, 64 * 1024);
+  internBcastEntry(Cache, 60 * 1024);
+  internBcastEntry(Cache, 64 * 1024); // Hit: A becomes the newest.
+  internBcastEntry(Cache, 56 * 1024); // Evicts 60 KiB, not A.
+  EXPECT_EQ(Cache.stats().Evictions, 1u);
+  const std::uint64_t Misses = Cache.stats().Misses;
+  EXPECT_EQ(internBcastEntry(Cache, 64 * 1024).get(), A.get());
+  EXPECT_EQ(Cache.stats().Misses, Misses);
+}
+
+TEST(ScheduleIntern, RefHeldAcrossEvictionReplaysIdentically) {
+  ScheduleInternCache Cache(1);
+  InternedScheduleRef Held = internBcastEntry(Cache, 64 * 1024);
+  const ExecutionResult Before = replay(Held, 7);
+
+  // The next insert evicts Held's entry from the cache; the caller's
+  // reference keeps the schedule alive and unchanged.
+  internBcastEntry(Cache, 32 * 1024);
+  ASSERT_EQ(Cache.stats().Evictions, 1u);
+  expectSameTimeline(Before, replay(Held, 7));
+}
+
+TEST(ScheduleIntern, EvictThenRebuildIsBitIdentical) {
+  ScheduleInternCache Cache(1);
+  const ExecutionResult Before =
+      replay(internBcastEntry(Cache, 64 * 1024), 11);
+
+  internBcastEntry(Cache, 32 * 1024); // Evicts the 64 KiB entry.
+  InternedScheduleRef Rebuilt = internBcastEntry(Cache, 64 * 1024);
+  EXPECT_EQ(Cache.stats().Misses, 3u);
+  EXPECT_EQ(Cache.stats().Hits, 0u);
+  expectSameTimeline(Before, replay(Rebuilt, 11));
+  EXPECT_EQ(Rebuilt->Exit, buildBcastEntry(64 * 1024).Exit);
+}
+
+TEST(Parallel, CalibrationBitIdenticalWithTinyInternBudget) {
+  // With room for barely one schedule, nearly every repetition
+  // rebuilds; serial and 8-thread calibrations must still agree bit
+  // for bit with each other and with the default-budget cache.
+  Platform Plat = smallCluster();
+  CalibrationOptions Options = quickOptions(12);
+  Options.Threads = 1;
+  ScheduleInternCache::global().clear();
+  const CalibratedModels Reference = calibrate(Plat, Options);
+
+  ScheduleInternCache Tiny(64 * 1024);
+  {
+    ScheduleInternCache::ScopedGlobal Install(Tiny);
+    ASSERT_EQ(&ScheduleInternCache::global(), &Tiny);
+    const CalibratedModels Serial = calibrate(Plat, Options);
+    Options.Threads = 8;
+    const CalibratedModels Threaded = calibrate(Plat, Options);
+    expectModelsIdentical(Serial, Threaded);
+    expectModelsIdentical(Reference, Serial);
+  }
+  EXPECT_NE(&ScheduleInternCache::global(), &Tiny);
+  EXPECT_GT(Tiny.stats().Evictions, 0u);
+  EXPECT_LE(Tiny.stats().Entries, Tiny.stats().Misses);
+}
+
+TEST(ScheduleIntern, VerifierPassesOnEntriesWithoutSource) {
+  const bool Was = preflightVerificationEnabled();
+  setPreflightVerification(true);
+  ScheduleInternCache Cache;
+  BcastConfig Config;
+  Config.Algorithm = BcastAlgorithm::Binomial;
+  Config.MessageBytes = 64 * 1024;
+  Config.SegmentBytes = 8 * 1024;
+  InternedScheduleRef IS = internBcastEntry(Cache, Config.MessageBytes);
+
+  // The entry holds only the compiled arrays...
+  EXPECT_TRUE(IS->Compiled.Source.Ops.empty());
+  EXPECT_GT(IS->Compiled.numOps(), 0u);
+
+  // ...and the verifier reads every field it needs from them: the
+  // contract checks pass and the findings equal the builder IR's.
+  const ScheduleContract Contract = bcastContract(Config, 16);
+  const VerifyReport FromEntry = verifySchedule(IS->Compiled, &Contract);
+  EXPECT_TRUE(FromEntry.clean(Severity::Warning)) << FromEntry.str();
+  const VerifyReport FromBuilder =
+      verifySchedule(buildBcastEntry(Config.MessageBytes).S, &Contract);
+  EXPECT_EQ(FromEntry.str(), FromBuilder.str());
+
+  // The engine's pre-flight cross-check runs on the same entry.
+  EXPECT_TRUE(replay(IS, 3).Completed);
+  setPreflightVerification(Was);
 }

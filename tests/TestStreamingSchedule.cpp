@@ -559,6 +559,33 @@ TEST(CalendarQueueTest, SparseFarFutureEventsFound) {
   expectSamePops(Q, Ref, "sparse");
 }
 
+TEST(StreamEngineTest, FaultFreeArrivalClampMatchesCompiledEngine) {
+  // Regression: the streamed engine clamped same-channel arrivals only
+  // under faults, while the compiled engine clamps on every run. At
+  // this seed latency noise lets a P=4096 chain segment overtake the
+  // previous one on its channel; without the fault-free clamp the
+  // streamed receive on rank 26 started 2 us early.
+  constexpr unsigned RankCount = 4096;
+  constexpr std::uint64_t Seed = 10263607562450496656ull;
+  BcastConfig C;
+  C.Algorithm = BcastAlgorithm::Chain;
+  C.MessageBytes = 32 * 1024;
+  C.SegmentBytes = 8 * 1024;
+  const Platform P = makeScalePlatform(RankCount);
+  ASSERT_GT(P.NoiseSigma, 0.0);
+  StreamOptions Opts;
+  Opts.RecordTimings = true;
+
+  StreamEngine Streamed;
+  const ExecutionResult &FromStream =
+      Streamed.run(makeBcastStreamPlan(C, RankCount), P, Seed, nullptr, Opts);
+  Engine Oracle;
+  const ExecutionResult &FromCompiled =
+      Oracle.run(compileSchedule(materialize(C, RankCount)), P, Seed);
+  ASSERT_TRUE(FromCompiled.Completed);
+  expectBitIdentical(FromCompiled, FromStream, caseName(C, RankCount, Seed));
+}
+
 //===----------------------------------------------------------------------===//
 // O(active) memory at scale.
 //===----------------------------------------------------------------------===//
