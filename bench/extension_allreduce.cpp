@@ -22,6 +22,7 @@
 #include "coll/OmpiDecision.h"
 #include "model/AllgatherSelection.h"
 #include "model/AllreduceSelection.h"
+#include "obs/Rss.h"
 #include "support/CommandLine.h"
 #include "support/Format.h"
 #include "support/Table.h"
@@ -226,6 +227,9 @@ int main(int Argc, char **Argv) {
     reportPanel(Report, "allgather_" + Key,
                 runAllgatherPanel(Plat, CalibProcs, SelectProcs, Quick, Csv));
   }
+  // Max-bounded by the baseline's budget: per-repetition recompiles or
+  // interning these runners' large schedules would show up here.
+  Report.metric("peak_rss_kib", static_cast<double>(obs::peakRssKiB()));
 
   std::printf("The paper's Sect. 6 follow-up, measured: the same gamma +\n"
               "collective-experiment calibration selects allreduce and\n"

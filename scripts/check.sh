@@ -191,9 +191,12 @@ if [ "$RUN_BENCH" -eq 1 ]; then
     --json "$OUT/BENCH_drift_recovery.json" >/dev/null
   # The allreduce/allgather selection gap vs Open MPI's fixed rules:
   # the near-optimal counts and worst degradations are pinned by the
-  # committed baseline.
+  # committed baseline, peak_rss_kib by its budget.
   ./build/bench/extension_allreduce --quick \
     --json "$OUT/BENCH_extension_allreduce.json" >/dev/null
+  # The reduce/scatter selection, pinned the same way.
+  ./build/bench/extension_reduce_scatter \
+    --json "$OUT/BENCH_extension_reduce_scatter.json" >/dev/null
   # micro_engine exits non-zero unless compiled replay is bit-identical
   # to the legacy interpreter and allocation-free after warm-up.
   ./build/bench/micro_engine --quick \

@@ -2,12 +2,12 @@
 
 #include "model/AllgatherSelection.h"
 
-#include "coll/Gather.h"
-#include "sim/Engine.h"
+#include "model/Runner.h"
 #include "support/Error.h"
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 
 using namespace mpicsel;
 
@@ -64,31 +64,32 @@ AllgatherModels::selectBest(unsigned NumProcs,
   return Best;
 }
 
+/// The allgather of \p Config, timed to its latest exit, or followed
+/// by a closing gather of \p GatherBytes to rank 0 when given.
+static BuiltSchedule
+allgatherExperiment(unsigned NumProcs, const AllgatherConfig &Config,
+                    std::optional<std::uint64_t> GatherBytes) {
+  ScheduleBuilder B(NumProcs);
+  std::vector<OpId> Exit = appendAllgather(B, Config);
+  if (GatherBytes)
+    return closeWithGather(B, Exit, *GatherBytes, /*Root=*/0, Config.Tag);
+  return {B.take(), std::move(Exit)};
+}
+
 double mpicsel::runAllgatherOnce(const Platform &P, unsigned NumProcs,
                                  const AllgatherConfig &Config,
                                  std::uint64_t Seed) {
-  assert(NumProcs >= 1 && NumProcs <= P.maxProcs() &&
-         "allgather does not fit on the platform");
-  ScheduleBuilder B(NumProcs);
-  std::vector<OpId> Exit = appendAllgather(B, Config);
-  Schedule S = B.take();
-  ExecutionResult R = runSchedule(S, P, Seed);
-  if (!R.Completed)
-    fatalError("allgather schedule deadlocked: " + R.Diagnostic);
-  double Latest = 0.0;
-  for (OpId Id : Exit)
-    Latest = std::max(Latest, R.doneTime(Id));
-  return Latest;
+  return runExperimentOnce(
+      P, allgatherExperiment(NumProcs, Config, std::nullopt), Seed,
+      "allgather");
 }
 
 AdaptiveResult mpicsel::measureAllgather(const Platform &P,
                                          unsigned NumProcs,
                                          const AllgatherConfig &Config,
                                          const AdaptiveOptions &Options) {
-  return measureAdaptively(
-      [&](std::uint64_t Seed) {
-        return runAllgatherOnce(P, NumProcs, Config, Seed);
-      },
+  return measureExperiment(
+      P, allgatherExperiment(NumProcs, Config, std::nullopt), "allgather",
       Options);
 }
 
@@ -96,21 +97,9 @@ double mpicsel::runAllgatherGatherOnce(const Platform &P, unsigned NumProcs,
                                        const AllgatherConfig &Config,
                                        std::uint64_t GatherBytes,
                                        std::uint64_t Seed) {
-  assert(NumProcs >= 1 && NumProcs <= P.maxProcs() &&
-         "allgather does not fit on the platform");
-  ScheduleBuilder B(NumProcs);
-  std::vector<OpId> AllgatherExit = appendAllgather(B, Config);
-  GatherConfig Gather;
-  Gather.BlockBytes = GatherBytes;
-  Gather.Root = 0;
-  Gather.Tag = Config.Tag + 8;
-  std::vector<OpId> GatherExit =
-      appendLinearGather(B, Gather, AllgatherExit);
-  Schedule S = B.take();
-  ExecutionResult R = runSchedule(S, P, Seed);
-  if (!R.Completed)
-    fatalError("allgather+gather schedule deadlocked: " + R.Diagnostic);
-  return R.doneTime(GatherExit[Gather.Root]);
+  return runExperimentOnce(
+      P, allgatherExperiment(NumProcs, Config, GatherBytes), Seed,
+      "allgather+gather");
 }
 
 AllgatherModels
@@ -157,12 +146,9 @@ mpicsel::calibrateAllgather(const Platform &Plat,
       Adaptive.BaseSeed = Options.Adaptive.BaseSeed +
                           0x800000ull * static_cast<unsigned>(Alg) +
                           0x100ull * I;
-      AdaptiveResult R = measureAdaptively(
-          [&](std::uint64_t Seed) {
-            return runAllgatherGatherOnce(Plat, NumProcs, Config,
-                                          GatherSizes[I], Seed);
-          },
-          Adaptive);
+      AdaptiveResult R = measureExperiment(
+          Plat, allgatherExperiment(NumProcs, Config, GatherSizes[I]),
+          "allgather+gather", Adaptive);
       CostCoefficients Total =
           allgatherCostCoefficients(Alg, NumProcs, BlockSizes[I],
                                     Models.Gamma) +

@@ -3,13 +3,13 @@
 #include "model/AllreduceSelection.h"
 
 #include "coll/Bcast.h"
-#include "coll/Gather.h"
 #include "model/ReduceSelection.h"
-#include "sim/Engine.h"
+#include "model/Runner.h"
 #include "support/Error.h"
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 
 using namespace mpicsel;
 
@@ -82,34 +82,36 @@ AllreduceModels::selectBest(unsigned NumProcs,
   return Best;
 }
 
+/// The allreduce of \p Config (combine cost from the platform when the
+/// config leaves it 0), timed to its latest exit, or followed by a
+/// closing gather of \p GatherBytes to rank 0 when given.
+static BuiltSchedule
+allreduceExperiment(const Platform &P, unsigned NumProcs,
+                    AllreduceConfig Config,
+                    std::optional<std::uint64_t> GatherBytes) {
+  if (Config.ComputeSecondsPerByte == 0.0)
+    Config.ComputeSecondsPerByte = P.ReduceComputePerByte;
+  ScheduleBuilder B(NumProcs);
+  std::vector<OpId> Exit = appendAllreduce(B, Config);
+  if (GatherBytes)
+    return closeWithGather(B, Exit, *GatherBytes, /*Root=*/0, Config.Tag);
+  return {B.take(), std::move(Exit)};
+}
+
 double mpicsel::runAllreduceOnce(const Platform &P, unsigned NumProcs,
                                  const AllreduceConfig &Config,
                                  std::uint64_t Seed) {
-  assert(NumProcs >= 1 && NumProcs <= P.maxProcs() &&
-         "allreduce does not fit on the platform");
-  AllreduceConfig Filled = Config;
-  if (Filled.ComputeSecondsPerByte == 0.0)
-    Filled.ComputeSecondsPerByte = P.ReduceComputePerByte;
-  ScheduleBuilder B(NumProcs);
-  std::vector<OpId> Exit = appendAllreduce(B, Filled);
-  Schedule S = B.take();
-  ExecutionResult R = runSchedule(S, P, Seed);
-  if (!R.Completed)
-    fatalError("allreduce schedule deadlocked: " + R.Diagnostic);
-  double Latest = 0.0;
-  for (OpId Id : Exit)
-    Latest = std::max(Latest, R.doneTime(Id));
-  return Latest;
+  return runExperimentOnce(
+      P, allreduceExperiment(P, NumProcs, Config, std::nullopt), Seed,
+      "allreduce");
 }
 
 AdaptiveResult mpicsel::measureAllreduce(const Platform &P,
                                          unsigned NumProcs,
                                          const AllreduceConfig &Config,
                                          const AdaptiveOptions &Options) {
-  return measureAdaptively(
-      [&](std::uint64_t Seed) {
-        return runAllreduceOnce(P, NumProcs, Config, Seed);
-      },
+  return measureExperiment(
+      P, allreduceExperiment(P, NumProcs, Config, std::nullopt), "allreduce",
       Options);
 }
 
@@ -117,24 +119,9 @@ double mpicsel::runAllreduceGatherOnce(const Platform &P, unsigned NumProcs,
                                        const AllreduceConfig &Config,
                                        std::uint64_t GatherBytes,
                                        std::uint64_t Seed) {
-  assert(NumProcs >= 1 && NumProcs <= P.maxProcs() &&
-         "allreduce does not fit on the platform");
-  AllreduceConfig Filled = Config;
-  if (Filled.ComputeSecondsPerByte == 0.0)
-    Filled.ComputeSecondsPerByte = P.ReduceComputePerByte;
-  ScheduleBuilder B(NumProcs);
-  std::vector<OpId> AllreduceExit = appendAllreduce(B, Filled);
-  GatherConfig Gather;
-  Gather.BlockBytes = GatherBytes;
-  Gather.Root = 0;
-  Gather.Tag = Filled.Tag + 8;
-  std::vector<OpId> GatherExit =
-      appendLinearGather(B, Gather, AllreduceExit);
-  Schedule S = B.take();
-  ExecutionResult R = runSchedule(S, P, Seed);
-  if (!R.Completed)
-    fatalError("allreduce+gather schedule deadlocked: " + R.Diagnostic);
-  return R.doneTime(GatherExit[Gather.Root]);
+  return runExperimentOnce(
+      P, allreduceExperiment(P, NumProcs, Config, GatherBytes), Seed,
+      "allreduce+gather");
 }
 
 AllreduceModels
@@ -187,12 +174,9 @@ mpicsel::calibrateAllreduce(const Platform &Plat,
       Adaptive.BaseSeed = Options.Adaptive.BaseSeed +
                           0x1000000ull * static_cast<unsigned>(Alg) +
                           0x100ull * I;
-      AdaptiveResult R = measureAdaptively(
-          [&](std::uint64_t Seed) {
-            return runAllreduceGatherOnce(Plat, NumProcs, Config,
-                                          GatherBytes, Seed);
-          },
-          Adaptive);
+      AdaptiveResult R = measureExperiment(
+          Plat, allreduceExperiment(Plat, NumProcs, Config, GatherBytes),
+          "allreduce+gather", Adaptive);
       CostCoefficients C =
           allreduceCostCoefficients(Alg, NumProcs, MessageSizes[I],
                                     Config.SegmentBytes, Models.Gamma) +

@@ -3,12 +3,12 @@
 #include "model/ReduceSelection.h"
 
 #include "coll/Bcast.h"
-#include "coll/Gather.h"
-#include "sim/Engine.h"
+#include "model/Runner.h"
 #include "support/Error.h"
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 
 using namespace mpicsel;
 
@@ -75,31 +75,35 @@ ReduceAlgorithm ReduceModels::selectBest(unsigned NumProcs,
   return Best;
 }
 
+/// The reduce of \p Config (combine cost from the platform when the
+/// config leaves it 0), timed to the result being ready on the root,
+/// or followed by a closing gather of \p GatherBytes to the root when
+/// given.
+static BuiltSchedule
+reduceExperiment(const Platform &P, unsigned NumProcs, ReduceConfig Config,
+                 std::optional<std::uint64_t> GatherBytes) {
+  if (Config.ComputeSecondsPerByte == 0.0)
+    Config.ComputeSecondsPerByte = P.ReduceComputePerByte;
+  ScheduleBuilder B(NumProcs);
+  std::vector<OpId> Exit = appendReduce(B, Config);
+  if (GatherBytes)
+    return closeWithGather(B, Exit, *GatherBytes, Config.Root, Config.Tag);
+  return {B.take(), {Exit[Config.Root]}};
+}
+
 double mpicsel::runReduceOnce(const Platform &P, unsigned NumProcs,
                               const ReduceConfig &Config,
                               std::uint64_t Seed) {
-  assert(NumProcs >= 1 && NumProcs <= P.maxProcs() &&
-         "reduce does not fit on the platform");
-  ReduceConfig Filled = Config;
-  if (Filled.ComputeSecondsPerByte == 0.0)
-    Filled.ComputeSecondsPerByte = P.ReduceComputePerByte;
-  ScheduleBuilder B(NumProcs);
-  std::vector<OpId> Exit = appendReduce(B, Filled);
-  Schedule S = B.take();
-  ExecutionResult R = runSchedule(S, P, Seed);
-  if (!R.Completed)
-    fatalError("reduce schedule deadlocked: " + R.Diagnostic);
-  // The collective's useful completion: the result ready on the root.
-  return R.doneTime(Exit[Filled.Root]);
+  return runExperimentOnce(
+      P, reduceExperiment(P, NumProcs, Config, std::nullopt), Seed,
+      "reduce");
 }
 
 AdaptiveResult mpicsel::measureReduce(const Platform &P, unsigned NumProcs,
                                       const ReduceConfig &Config,
                                       const AdaptiveOptions &Options) {
-  return measureAdaptively(
-      [&](std::uint64_t Seed) {
-        return runReduceOnce(P, NumProcs, Config, Seed);
-      },
+  return measureExperiment(
+      P, reduceExperiment(P, NumProcs, Config, std::nullopt), "reduce",
       Options);
 }
 
@@ -107,23 +111,9 @@ double mpicsel::runReduceGatherOnce(const Platform &P, unsigned NumProcs,
                                     const ReduceConfig &Config,
                                     std::uint64_t GatherBytes,
                                     std::uint64_t Seed) {
-  assert(NumProcs >= 1 && NumProcs <= P.maxProcs() &&
-         "reduce does not fit on the platform");
-  ReduceConfig Filled = Config;
-  if (Filled.ComputeSecondsPerByte == 0.0)
-    Filled.ComputeSecondsPerByte = P.ReduceComputePerByte;
-  ScheduleBuilder B(NumProcs);
-  std::vector<OpId> ReduceExit = appendReduce(B, Filled);
-  GatherConfig Gather;
-  Gather.BlockBytes = GatherBytes;
-  Gather.Root = Filled.Root;
-  Gather.Tag = Filled.Tag + 8;
-  std::vector<OpId> GatherExit = appendLinearGather(B, Gather, ReduceExit);
-  Schedule S = B.take();
-  ExecutionResult R = runSchedule(S, P, Seed);
-  if (!R.Completed)
-    fatalError("reduce+gather schedule deadlocked: " + R.Diagnostic);
-  return R.doneTime(GatherExit[Filled.Root]);
+  return runExperimentOnce(
+      P, reduceExperiment(P, NumProcs, Config, GatherBytes), Seed,
+      "reduce+gather");
 }
 
 ReduceModels
@@ -176,12 +166,9 @@ mpicsel::calibrateReduce(const Platform &Plat,
       Adaptive.BaseSeed = Options.Adaptive.BaseSeed +
                           0x400000ull * static_cast<unsigned>(Alg) +
                           0x100ull * I;
-      AdaptiveResult R = measureAdaptively(
-          [&](std::uint64_t Seed) {
-            return runReduceGatherOnce(Plat, NumProcs, Config, GatherBytes,
-                                       Seed);
-          },
-          Adaptive);
+      AdaptiveResult R = measureExperiment(
+          Plat, reduceExperiment(Plat, NumProcs, Config, GatherBytes),
+          "reduce+gather", Adaptive);
       CostCoefficients C =
           reduceCostCoefficients(Alg, NumProcs, MessageSizes[I],
                                  Config.SegmentBytes, Models.Gamma) +

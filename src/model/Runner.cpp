@@ -34,20 +34,31 @@ Engine &workerEngine() {
   return E;
 }
 
-/// Executes an interned schedule and extracts \p Metric from the
-/// result. Repetitions of a grid point that run close together share
-/// one cache entry, so the schedule is built and compiled once for
-/// them (the cache may evict it between sweeps, see
-/// mpi/ScheduleIntern.h).
-template <typename MetricFn>
-double runInterned(const InternedScheduleRef &IS, const Platform &P,
-                   std::uint64_t Seed, const char *What, MetricFn Metric) {
-  // Every simulated measurement in the process funnels through here.
+/// Replays \p CS on \p E and aborts on deadlock. Every simulated
+/// measurement in the process funnels through here; interned broadcast
+/// schedules on the worker engine, measurement-scoped ones on their own.
+const ExecutionResult &replayChecked(const CompiledSchedule &CS,
+                                     const Platform &P, std::uint64_t Seed,
+                                     const char *What,
+                                     Engine &E = workerEngine()) {
   obs::bump(obs::Counter::RunnerExperiments);
-  const ExecutionResult &R = workerEngine().run(IS->Compiled, P, Seed);
+  const ExecutionResult &R = E.run(CS, P, Seed);
   if (!R.Completed)
     fatalError(strFormat("%s schedule deadlocked: ", What) + R.Diagnostic);
-  return Metric(R);
+  return R;
+}
+
+/// Replays \p Experiment and returns its time: the latest completion
+/// among its Exit ops.
+double replayExperiment(const InternedSchedule &Experiment, const Platform &P,
+                        std::uint64_t Seed, const char *What,
+                        Engine &E = workerEngine()) {
+  const ExecutionResult &R =
+      replayChecked(Experiment.Compiled, P, Seed, What, E);
+  double Latest = R.doneTime(Experiment.Exit.front());
+  for (OpId Id : Experiment.Exit)
+    Latest = std::max(Latest, R.doneTime(Id));
+  return Latest;
 }
 
 /// Interning key fragment for one broadcast configuration.
@@ -61,6 +72,43 @@ std::string bcastKey(const BcastConfig &Config, unsigned NumProcs) {
 
 } // namespace
 
+BuiltSchedule mpicsel::closeWithGather(ScheduleBuilder &B,
+                                       const std::vector<OpId> &After,
+                                       std::uint64_t GatherBytes,
+                                       unsigned Root, int Tag) {
+  GatherConfig Gather;
+  Gather.BlockBytes = GatherBytes;
+  Gather.Root = Root;
+  Gather.Tag = Tag + 8;
+  Gather.Synchronised = false;
+  BuiltSchedule Built;
+  Built.Exit = {appendLinearGather(B, Gather, After)[Root]};
+  Built.S = B.take();
+  return Built;
+}
+
+double mpicsel::runExperimentOnce(const Platform &P, BuiltSchedule Built,
+                                  std::uint64_t Seed, const char *What) {
+  checkRanks(P, Built.S.RankCount);
+  Engine E;
+  return replayExperiment(compileBuiltSchedule(std::move(Built)), P, Seed,
+                          What, E);
+}
+
+AdaptiveResult mpicsel::measureExperiment(const Platform &P,
+                                          BuiltSchedule Built,
+                                          const char *What,
+                                          const AdaptiveOptions &Options) {
+  checkRanks(P, Built.S.RankCount);
+  const InternedSchedule Experiment = compileBuiltSchedule(std::move(Built));
+  Engine E; // Not the worker engine: see the file comment of Runner.h.
+  return measureAdaptively(
+      [&](std::uint64_t Seed) {
+        return replayExperiment(Experiment, P, Seed, What, E);
+      },
+      Options);
+}
+
 double mpicsel::runBcastOnce(const Platform &P, unsigned NumProcs,
                              const BcastConfig &Config, std::uint64_t Seed) {
   checkRanks(P, NumProcs);
@@ -72,13 +120,7 @@ double mpicsel::runBcastOnce(const Platform &P, unsigned NumProcs,
         Built.S = B.take();
         return Built;
       });
-  const double Latency =
-      runInterned(IS, P, Seed, "broadcast", [&](const ExecutionResult &R) {
-        double Latest = 0.0;
-        for (OpId Id : IS->Exit)
-          Latest = std::max(Latest, R.doneTime(Id));
-        return Latest;
-      });
+  const double Latency = replayExperiment(*IS, P, Seed, "broadcast");
   // Plain broadcast replays are what the deployed selection serves,
   // so they are the drift sentinel's feed; the calibration's
   // bcast+gather experiments deliberately are not (a repair measuring
@@ -109,22 +151,11 @@ double mpicsel::runBcastGatherOnce(const Platform &P, unsigned NumProcs,
           bcastKey(Bcast, NumProcs),
       [&] {
         ScheduleBuilder B(NumProcs);
-        std::vector<OpId> BcastExit = appendBcast(B, Bcast);
-        GatherConfig Gather;
-        Gather.BlockBytes = GatherBytes;
-        Gather.Root = Bcast.Root;
-        Gather.Tag = Bcast.Tag + 8; // Clear of the broadcast's tag range.
-        Gather.Synchronised = false;
-        BuiltSchedule Built;
-        Built.Exit = appendLinearGather(B, Gather, BcastExit);
-        Built.S = B.take();
-        return Built;
+        return closeWithGather(B, appendBcast(B, Bcast), GatherBytes,
+                               Bcast.Root, Bcast.Tag);
       });
   // The experiment starts and finishes on the root (paper Sect. 4.2).
-  return runInterned(IS, P, Seed, "bcast+gather",
-                     [&](const ExecutionResult &R) {
-                       return R.doneTime(IS->Exit[Bcast.Root]);
-                     });
+  return replayExperiment(*IS, P, Seed, "bcast+gather");
 }
 
 AdaptiveResult mpicsel::measureBcastGather(const Platform &P,
@@ -165,11 +196,9 @@ double mpicsel::runLinearBcastTrainOnce(const Platform &P, unsigned NumProcs,
       });
   // T1: measured on the root, from the experiment start to the root's
   // exit from the last barrier (which certifies the last delivery).
-  return runInterned(IS, P, Seed, "gamma-experiment",
-                     [&](const ExecutionResult &R) {
-                       return R.doneTime(IS->Exit[0]) /
-                              static_cast<double>(Calls);
-                     });
+  return replayChecked(IS->Compiled, P, Seed, "gamma-experiment")
+             .doneTime(IS->Exit[0]) /
+         static_cast<double>(Calls);
 }
 
 double mpicsel::runBarrierTrainOnce(const Platform &P, unsigned NumProcs,
@@ -186,11 +215,9 @@ double mpicsel::runBarrierTrainOnce(const Platform &P, unsigned NumProcs,
         Built.S = B.take();
         return Built;
       });
-  return runInterned(IS, P, Seed, "barrier-train",
-                     [&](const ExecutionResult &R) {
-                       return R.doneTime(IS->Exit[0]) /
-                              static_cast<double>(Calls);
-                     });
+  return replayChecked(IS->Compiled, P, Seed, "barrier-train")
+             .doneTime(IS->Exit[0]) /
+         static_cast<double>(Calls);
 }
 
 double mpicsel::runPingPongOnce(const Platform &P, unsigned RankA,
@@ -208,8 +235,7 @@ double mpicsel::runPingPongOnce(const Platform &P, unsigned RankA,
         Built.S = B.take();
         return Built;
       });
-  return runInterned(IS, P, Seed, "ping-pong",
-                     [&](const ExecutionResult &R) {
-                       return R.doneTime(IS->Exit[RankA]) / 2.0;
-                     });
+  return replayChecked(IS->Compiled, P, Seed, "ping-pong")
+             .doneTime(IS->Exit[RankA]) /
+         2.0;
 }

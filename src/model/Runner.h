@@ -18,6 +18,12 @@
 ///  * the Sect. 4.1 gamma experiment -- N successive linear
 ///    broadcasts separated by barriers -- timed on the root.
 ///
+/// Broadcast experiments intern their schedules (mpi/ScheduleIntern.h).
+/// The other collectives use measureExperiment: one compile and one
+/// engine per measurement. Their large schedules are reused only within
+/// it, so interning them would crowd the cache and a long-lived engine
+/// would keep their largest arena resident.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef MPICSEL_MODEL_RUNNER_H
@@ -26,11 +32,36 @@
 #include "cluster/Platform.h"
 #include "coll/Bcast.h"
 #include "coll/Gather.h"
+#include "mpi/ScheduleIntern.h"
 #include "stat/AdaptiveBenchmark.h"
 
 #include <cstdint>
 
 namespace mpicsel {
+
+/// Finishes a Sect. 4.2 calibration experiment: appends a linear
+/// gather without synchronisation of \p GatherBytes per rank to
+/// \p Root after \p After, tagged at \p Tag + 8 (clear of the
+/// measured collective's range), and returns the schedule timed on
+/// the root's gather exit.
+BuiltSchedule closeWithGather(ScheduleBuilder &B,
+                              const std::vector<OpId> &After,
+                              std::uint64_t GatherBytes, unsigned Root,
+                              int Tag);
+
+/// Runs the experiment \p Built once and returns its time: the latest
+/// completion among its Exit ops. \p What names the experiment in the
+/// deadlock diagnostic.
+double runExperimentOnce(const Platform &P, BuiltSchedule Built,
+                         std::uint64_t Seed, const char *What);
+
+/// Adaptively repeats the experiment \p Built until the paper's
+/// 95%/2.5% criterion is met. The schedule is compiled once, without
+/// its source, and replayed on an engine of the measurement's own;
+/// both live exactly as long as the measurement.
+AdaptiveResult measureExperiment(const Platform &P, BuiltSchedule Built,
+                                 const char *What,
+                                 const AdaptiveOptions &Options);
 
 /// Runs one broadcast over ranks 0..NumProcs-1 of \p P and returns
 /// the collective's completion time: the latest exit over all ranks

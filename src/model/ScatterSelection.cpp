@@ -2,13 +2,13 @@
 
 #include "model/ScatterSelection.h"
 
-#include "coll/Gather.h"
-#include "sim/Engine.h"
+#include "model/Runner.h"
 #include "support/Error.h"
 #include "topo/Tree.h"
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 
 using namespace mpicsel;
 
@@ -78,30 +78,30 @@ ScatterAlgorithm ScatterModels::selectBest(unsigned NumProcs,
   return Best;
 }
 
+/// The scatter of \p Config, timed to its latest exit, or followed by
+/// a closing gather of \p GatherBytes to the root when given.
+static BuiltSchedule
+scatterExperiment(unsigned NumProcs, const ScatterConfig &Config,
+                  std::optional<std::uint64_t> GatherBytes) {
+  ScheduleBuilder B(NumProcs);
+  std::vector<OpId> Exit = appendScatter(B, Config);
+  if (GatherBytes)
+    return closeWithGather(B, Exit, *GatherBytes, Config.Root, Config.Tag);
+  return {B.take(), std::move(Exit)};
+}
+
 double mpicsel::runScatterOnce(const Platform &P, unsigned NumProcs,
                                const ScatterConfig &Config,
                                std::uint64_t Seed) {
-  assert(NumProcs >= 1 && NumProcs <= P.maxProcs() &&
-         "scatter does not fit on the platform");
-  ScheduleBuilder B(NumProcs);
-  std::vector<OpId> Exit = appendScatter(B, Config);
-  Schedule S = B.take();
-  ExecutionResult R = runSchedule(S, P, Seed);
-  if (!R.Completed)
-    fatalError("scatter schedule deadlocked: " + R.Diagnostic);
-  double Latest = 0.0;
-  for (OpId Id : Exit)
-    Latest = std::max(Latest, R.doneTime(Id));
-  return Latest;
+  return runExperimentOnce(
+      P, scatterExperiment(NumProcs, Config, std::nullopt), Seed, "scatter");
 }
 
 AdaptiveResult mpicsel::measureScatter(const Platform &P, unsigned NumProcs,
                                        const ScatterConfig &Config,
                                        const AdaptiveOptions &Options) {
-  return measureAdaptively(
-      [&](std::uint64_t Seed) {
-        return runScatterOnce(P, NumProcs, Config, Seed);
-      },
+  return measureExperiment(
+      P, scatterExperiment(NumProcs, Config, std::nullopt), "scatter",
       Options);
 }
 
@@ -109,20 +109,9 @@ double mpicsel::runScatterGatherOnce(const Platform &P, unsigned NumProcs,
                                      const ScatterConfig &Config,
                                      std::uint64_t GatherBytes,
                                      std::uint64_t Seed) {
-  assert(NumProcs >= 1 && NumProcs <= P.maxProcs() &&
-         "scatter does not fit on the platform");
-  ScheduleBuilder B(NumProcs);
-  std::vector<OpId> ScatterExit = appendScatter(B, Config);
-  GatherConfig Gather;
-  Gather.BlockBytes = GatherBytes;
-  Gather.Root = Config.Root;
-  Gather.Tag = Config.Tag + 8;
-  std::vector<OpId> GatherExit = appendLinearGather(B, Gather, ScatterExit);
-  Schedule S = B.take();
-  ExecutionResult R = runSchedule(S, P, Seed);
-  if (!R.Completed)
-    fatalError("scatter+gather schedule deadlocked: " + R.Diagnostic);
-  return R.doneTime(GatherExit[Config.Root]);
+  return runExperimentOnce(
+      P, scatterExperiment(NumProcs, Config, GatherBytes), Seed,
+      "scatter+gather");
 }
 
 ScatterModels
@@ -168,12 +157,9 @@ mpicsel::calibrateScatter(const Platform &Plat,
       Adaptive.BaseSeed = Options.Adaptive.BaseSeed +
                           0x200000ull * static_cast<unsigned>(Alg) +
                           0x100ull * I;
-      AdaptiveResult R = measureAdaptively(
-          [&](std::uint64_t Seed) {
-            return runScatterGatherOnce(Plat, NumProcs, Config,
-                                        GatherSizes[I], Seed);
-          },
-          Adaptive);
+      AdaptiveResult R = measureExperiment(
+          Plat, scatterExperiment(NumProcs, Config, GatherSizes[I]),
+          "scatter+gather", Adaptive);
       CostCoefficients Total =
           scatterCostCoefficients(Alg, NumProcs, BlockSizes[I],
                                   Models.Gamma) +

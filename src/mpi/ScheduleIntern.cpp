@@ -19,6 +19,14 @@ std::atomic<ScheduleInternCache *> &globalOverride() {
 
 } // namespace
 
+InternedSchedule mpicsel::compileBuiltSchedule(BuiltSchedule Built) {
+  InternedSchedule Result;
+  Result.Compiled = compileSchedule(std::move(Built.S));
+  Result.Compiled.Source = Schedule();
+  Result.Exit = std::move(Built.Exit);
+  return Result;
+}
+
 ScheduleInternCache &ScheduleInternCache::global() {
   if (ScheduleInternCache *Override =
           globalOverride().load(std::memory_order_acquire))

@@ -52,14 +52,20 @@ struct BuiltSchedule {
   std::vector<OpId> Exit;
 };
 
-/// One cache entry: the compiled schedule (with an empty Source) and
-/// its exit ops. Immutable after construction; shared across threads.
+/// A compiled experiment: the compiled schedule (with an empty Source)
+/// and its exit ops. One cache entry, or the schedule one measurement
+/// replays (model/Runner.h). Immutable after construction; shared
+/// across threads.
 struct InternedSchedule {
   CompiledSchedule Compiled;
   std::vector<OpId> Exit;
 };
 
 using InternedScheduleRef = std::shared_ptr<const InternedSchedule>;
+
+/// Compiles \p Built and drops its source: the form both the cache and
+/// measurement-scoped callers (model/Runner.h) replay.
+InternedSchedule compileBuiltSchedule(BuiltSchedule Built);
 
 /// Thread-safe, byte-budgeted LRU interning cache. Lookups take a
 /// mutex; misses build and compile *outside* the lock (so concurrent
@@ -119,12 +125,8 @@ public:
   InternedScheduleRef intern(const std::string &Key, BuildFn &&Build) {
     if (InternedScheduleRef Hit = lookup(Key))
       return Hit;
-    BuiltSchedule B = Build();
-    auto Entry = std::make_shared<InternedSchedule>();
-    Entry->Compiled = compileSchedule(std::move(B.S));
-    Entry->Compiled.Source = Schedule();
-    Entry->Exit = std::move(B.Exit);
-    return insert(Key, std::move(Entry));
+    return insert(Key, std::make_shared<InternedSchedule>(
+                           compileBuiltSchedule(Build())));
   }
 
   CacheStats stats() const;

@@ -560,10 +560,12 @@ const ExecutionResult &Engine::run(const CompiledSchedule &CS,
 ExecutionResult mpicsel::runSchedule(const Schedule &S, const Platform &P,
                                      std::uint64_t Seed,
                                      const FaultSchedule *Faults) {
-  // One-shot compile + replay. Loops that re-execute one schedule
-  // should compile once (or intern, mpi/ScheduleIntern.h) and drive a
-  // long-lived Engine directly; this facade keeps the historical
-  // signature for single-shot callers and tests.
+  // One-shot compile + replay on a fresh engine. No library code calls
+  // it any more: the model runners compile once per measurement or
+  // intern (model/Runner.h) and replay on a warm per-thread Engine.
+  // Its callers are the tests (the runners' per-repetition oracle
+  // among them), examples/trace_broadcast and
+  // bench/micro_selection_overhead.
   Engine E;
   return E.run(compileSchedule(S), P, Seed, Faults);
 }

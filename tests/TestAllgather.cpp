@@ -12,6 +12,7 @@
 #include "coll/Allgather.h"
 #include "coll/OmpiDecision.h"
 #include "model/AllgatherSelection.h"
+#include "oracle/RunnerOracle.h"
 #include "sim/Engine.h"
 #include "verify/Verifier.h"
 
@@ -33,6 +34,58 @@ std::vector<AllgatherCase> allgatherCases() {
     for (unsigned Size : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 13u, 16u, 24u, 33u})
       Cases.emplace_back(Alg, Size);
   return Cases;
+}
+
+/// The allgather experiment of the runners, rebuilt per repetition.
+RunnerOracle allgatherOracle(unsigned NumProcs, const AllgatherConfig &Config,
+                             std::optional<std::uint64_t> GatherBytes) {
+  RunnerOracle O;
+  O.NumProcs = NumProcs;
+  O.Append = [Config](ScheduleBuilder &B) {
+    return appendAllgather(B, Config);
+  };
+  O.GatherBytes = GatherBytes;
+  O.Tag = Config.Tag;
+  return O;
+}
+
+/// calibrateAllgather's sweep with every observation taken through the
+/// oracle. \p Gamma comes from the library (its estimation runs the
+/// broadcast runners, not the ones under test).
+AllgatherModels
+oracleCalibrateAllgather(const Platform &Plat,
+                         const AllgatherCalibrationOptions &Options,
+                         const GammaFunction &Gamma) {
+  AllgatherModels Models;
+  Models.Gamma = Gamma;
+  const unsigned NumProcs = Options.NumProcs;
+  for (AllgatherAlgorithm Alg : AllAllgatherAlgorithms) {
+    std::vector<double> X, T;
+    for (std::size_t I = 0; I != Options.BlockSizes.size(); ++I) {
+      AllgatherConfig Config;
+      Config.Algorithm = Alg;
+      Config.BlockBytes = Options.BlockSizes[I];
+      AdaptiveOptions Adaptive = Options.Adaptive;
+      Adaptive.BaseSeed += 0x800000ull * static_cast<unsigned>(Alg) +
+                           0x100ull * I;
+      const double Mean =
+          allgatherOracle(NumProcs, Config, Options.GatherSizes[I])
+              .measure(Plat, Adaptive)
+              .Stats.Mean;
+      const CostCoefficients C =
+          allgatherCostCoefficients(Alg, NumProcs, Config.BlockBytes, Gamma) +
+          linearGatherCostCoefficients(NumProcs, Options.GatherSizes[I]);
+      X.push_back(C.B / C.A);
+      T.push_back(Mean / C.A);
+    }
+    AllgatherCalibration &Calib =
+        Models.Algorithms[static_cast<unsigned>(Alg)];
+    Calib.Algorithm = Alg;
+    Calib.Fit = fitHuber(X, T);
+    Calib.Alpha = std::max(Calib.Fit.Intercept, 0.0);
+    Calib.Beta = std::max(Calib.Fit.Slope, 0.0);
+  }
+  return Models;
 }
 
 } // namespace
@@ -238,4 +291,60 @@ TEST(AllgatherRunner, DeterministicAndComposable) {
   double AllgatherOnly = runAllgatherOnce(Plat, 8, Config, 3);
   double WithGather = runAllgatherGatherOnce(Plat, 8, Config, 1024, 3);
   EXPECT_GT(WithGather, AllgatherOnly);
+}
+
+TEST(AllgatherRunner, MatchesPerRepetitionRunScheduleOracle) {
+  const Platform Plat = noisyTestPlatform(12);
+  forCleanAndFaulted("straggler-root", [&] {
+    for (AllgatherAlgorithm Alg : AllAllgatherAlgorithms)
+      for (std::uint64_t Seed : {std::uint64_t(1), std::uint64_t(7919)}) {
+        SCOPED_TRACE(std::string(allgatherAlgorithmName(Alg)) + " seed " +
+                     std::to_string(Seed));
+        AllgatherConfig Config;
+        Config.Algorithm = Alg;
+        Config.BlockBytes = 3000;
+        AdaptiveOptions Options;
+        Options.MinReps = 3;
+        Options.MaxReps = 6;
+        Options.BaseSeed = Seed;
+        const RunnerOracle Plain = allgatherOracle(12, Config, std::nullopt);
+        expectSameMeasurement(measureAllgather(Plat, 12, Config, Options),
+                              Plain.measure(Plat, Options));
+        EXPECT_EQ(runAllgatherOnce(Plat, 12, Config, Seed),
+                  Plain.runOnce(Plat, Seed));
+        EXPECT_EQ(runAllgatherGatherOnce(Plat, 12, Config, 1024, Seed),
+                  allgatherOracle(12, Config, 1024).runOnce(Plat, Seed));
+      }
+  });
+}
+
+TEST(AllgatherCalibration, MatchesOracleAtEveryGammaThreadCount) {
+  const Platform Plat = noisyTestPlatform(8);
+  AllgatherCalibrationOptions Options;
+  Options.NumProcs = 8;
+  Options.BlockSizes = {1024, 4096, 16384};
+  Options.GatherSizes = {512, 1024, 4096};
+  Options.Adaptive.MinReps = 3;
+  Options.Adaptive.MaxReps = 5;
+  Options.GammaOptions.Adaptive = Options.Adaptive;
+  Options.GammaOptions.Threads = 1;
+  const AllgatherModels Serial = calibrateAllgather(Plat, Options);
+  Options.GammaOptions.Threads = 4;
+  const AllgatherModels Threaded = calibrateAllgather(Plat, Options);
+  for (unsigned P = 2; P <= 8; ++P)
+    EXPECT_EQ(Threaded.Gamma(P), Serial.Gamma(P));
+  const AllgatherModels Oracle =
+      oracleCalibrateAllgather(Plat, Options, Serial.Gamma);
+  expectSameCalibration(Serial, Oracle);
+  expectSameCalibration(Threaded, Oracle);
+}
+
+TEST(AllgatherRunner, RepetitionsReplayOnAWarmArena) {
+  const Platform Plat = noisyTestPlatform(12);
+  AllgatherConfig Config;
+  Config.Algorithm = AllgatherAlgorithm::Ring;
+  Config.BlockBytes = 4096;
+  expectWarmReplays(8, [&](const AdaptiveOptions &Options) {
+    return measureAllgather(Plat, 12, Config, Options);
+  });
 }

@@ -12,11 +12,13 @@
 #include "coll/Allreduce.h"
 #include "coll/OmpiDecision.h"
 #include "model/AllreduceSelection.h"
+#include "oracle/RunnerOracle.h"
 #include "sim/Engine.h"
 #include "verify/Verifier.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
 
 using namespace mpicsel;
@@ -34,6 +36,70 @@ std::vector<AllreduceCase> allreduceCases() {
       for (std::uint64_t Bytes : {std::uint64_t(7), std::uint64_t(20000)})
         Cases.emplace_back(Alg, Size, Bytes);
   return Cases;
+}
+
+/// The allreduce experiment of the runners, rebuilt per repetition.
+RunnerOracle allreduceOracle(const Platform &P, unsigned NumProcs,
+                             AllreduceConfig Config,
+                             std::optional<std::uint64_t> GatherBytes) {
+  if (Config.ComputeSecondsPerByte == 0.0)
+    Config.ComputeSecondsPerByte = P.ReduceComputePerByte;
+  RunnerOracle O;
+  O.NumProcs = NumProcs;
+  O.Append = [Config](ScheduleBuilder &B) {
+    return appendAllreduce(B, Config);
+  };
+  O.GatherBytes = GatherBytes;
+  O.Tag = Config.Tag;
+  return O;
+}
+
+/// calibrateAllreduce's sweep with every observation taken through the
+/// oracle. \p Gamma comes from the library (its estimation runs the
+/// broadcast runners, not the ones under test).
+AllreduceModels
+oracleCalibrateAllreduce(const Platform &Plat,
+                         const AllreduceCalibrationOptions &Options,
+                         const GammaFunction &Gamma) {
+  AllreduceModels Models;
+  Models.Gamma = Gamma;
+  Models.SegmentBytes = Options.SegmentBytes;
+  const unsigned NumProcs = Options.NumProcs;
+  for (AllreduceAlgorithm Alg : AllAllreduceAlgorithms) {
+    std::vector<double> X, T;
+    for (std::size_t I = 0; I != Options.MessageSizes.size(); ++I) {
+      const std::uint64_t Bytes = Options.MessageSizes[I];
+      AllreduceConfig Config;
+      Config.Algorithm = Alg;
+      Config.MessageBytes = Bytes;
+      Config.SegmentBytes = Alg == AllreduceAlgorithm::ReduceBcast
+                                ? Options.SegmentBytes
+                                : 0;
+      std::uint64_t GatherBytes = std::max<std::uint64_t>(512, Bytes / 64);
+      if (GatherBytes == Options.SegmentBytes)
+        GatherBytes += 512;
+      AdaptiveOptions Adaptive = Options.Adaptive;
+      Adaptive.BaseSeed += 0x1000000ull * static_cast<unsigned>(Alg) +
+                           0x100ull * I;
+      const double Mean =
+          allreduceOracle(Plat, NumProcs, Config, GatherBytes)
+              .measure(Plat, Adaptive)
+              .Stats.Mean;
+      const CostCoefficients C =
+          allreduceCostCoefficients(Alg, NumProcs, Bytes, Config.SegmentBytes,
+                                    Gamma) +
+          linearGatherCostCoefficients(NumProcs, GatherBytes);
+      X.push_back(C.B / C.A);
+      T.push_back(Mean / C.A);
+    }
+    AllreduceCalibration &Calib =
+        Models.Algorithms[static_cast<unsigned>(Alg)];
+    Calib.Algorithm = Alg;
+    Calib.Fit = fitHuber(X, T);
+    Calib.Alpha = std::max(Calib.Fit.Intercept, 0.0);
+    Calib.Beta = std::max(Calib.Fit.Slope, 0.0);
+  }
+  return Models;
 }
 
 } // namespace
@@ -216,4 +282,61 @@ TEST(AllreduceRunner, DeterministicAndComposable) {
   double AllreduceOnly = runAllreduceOnce(Plat, 8, Config, 3);
   double WithGather = runAllreduceGatherOnce(Plat, 8, Config, 1024, 3);
   EXPECT_GT(WithGather, AllreduceOnly);
+}
+
+TEST(AllreduceRunner, MatchesPerRepetitionRunScheduleOracle) {
+  const Platform Plat = noisyTestPlatform(12);
+  forCleanAndFaulted("straggler-root", [&] {
+    for (AllreduceAlgorithm Alg : AllAllreduceAlgorithms)
+      for (std::uint64_t Seed : {std::uint64_t(1), std::uint64_t(7919)}) {
+        SCOPED_TRACE(std::string(allreduceAlgorithmName(Alg)) + " seed " +
+                     std::to_string(Seed));
+        AllreduceConfig Config;
+        Config.Algorithm = Alg;
+        Config.MessageBytes = 48000;
+        Config.SegmentBytes = 8192;
+        AdaptiveOptions Options;
+        Options.MinReps = 3;
+        Options.MaxReps = 6;
+        Options.BaseSeed = Seed;
+        const RunnerOracle Plain =
+            allreduceOracle(Plat, 12, Config, std::nullopt);
+        expectSameMeasurement(measureAllreduce(Plat, 12, Config, Options),
+                              Plain.measure(Plat, Options));
+        EXPECT_EQ(runAllreduceOnce(Plat, 12, Config, Seed),
+                  Plain.runOnce(Plat, Seed));
+        EXPECT_EQ(runAllreduceGatherOnce(Plat, 12, Config, 2048, Seed),
+                  allreduceOracle(Plat, 12, Config, 2048).runOnce(Plat, Seed));
+      }
+  });
+}
+
+TEST(AllreduceCalibration, MatchesOracleAtEveryGammaThreadCount) {
+  const Platform Plat = noisyTestPlatform(8);
+  AllreduceCalibrationOptions Options;
+  Options.NumProcs = 8;
+  Options.MessageSizes = {8192, 65536, 524288};
+  Options.Adaptive.MinReps = 3;
+  Options.Adaptive.MaxReps = 5;
+  Options.GammaOptions.Adaptive = Options.Adaptive;
+  Options.GammaOptions.Threads = 1;
+  const AllreduceModels Serial = calibrateAllreduce(Plat, Options);
+  Options.GammaOptions.Threads = 4;
+  const AllreduceModels Threaded = calibrateAllreduce(Plat, Options);
+  for (unsigned P = 2; P <= 8; ++P)
+    EXPECT_EQ(Threaded.Gamma(P), Serial.Gamma(P));
+  const AllreduceModels Oracle =
+      oracleCalibrateAllreduce(Plat, Options, Serial.Gamma);
+  expectSameCalibration(Serial, Oracle);
+  expectSameCalibration(Threaded, Oracle);
+}
+
+TEST(AllreduceRunner, RepetitionsReplayOnAWarmArena) {
+  const Platform Plat = noisyTestPlatform(12);
+  AllreduceConfig Config;
+  Config.Algorithm = AllreduceAlgorithm::Ring;
+  Config.MessageBytes = 65536;
+  expectWarmReplays(8, [&](const AdaptiveOptions &Options) {
+    return measureAllreduce(Plat, 12, Config, Options);
+  });
 }

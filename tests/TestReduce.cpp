@@ -7,6 +7,7 @@
 
 #include "coll/Reduce.h"
 #include "model/ReduceSelection.h"
+#include "oracle/RunnerOracle.h"
 #include "sim/Engine.h"
 #include "topo/Tree.h"
 
@@ -27,6 +28,66 @@ std::vector<ReduceCase> reduceCases() {
       for (std::uint64_t Segment : {std::uint64_t(0), std::uint64_t(8192)})
         Cases.emplace_back(Alg, Size, Segment);
   return Cases;
+}
+
+/// The reduce experiment of the runners, rebuilt per repetition.
+RunnerOracle reduceOracle(const Platform &P, unsigned NumProcs,
+                          ReduceConfig Config,
+                          std::optional<std::uint64_t> GatherBytes) {
+  if (Config.ComputeSecondsPerByte == 0.0)
+    Config.ComputeSecondsPerByte = P.ReduceComputePerByte;
+  RunnerOracle O;
+  O.NumProcs = NumProcs;
+  O.Append = [Config](ScheduleBuilder &B) { return appendReduce(B, Config); };
+  O.GatherBytes = GatherBytes;
+  O.Root = Config.Root;
+  O.Tag = Config.Tag;
+  O.RootOnly = true;
+  return O;
+}
+
+/// calibrateReduce's sweep with every observation taken through the
+/// oracle. \p Gamma comes from the library (its estimation runs the
+/// broadcast runners, not the ones under test).
+ReduceModels oracleCalibrateReduce(const Platform &Plat,
+                                   const ReduceCalibrationOptions &Options,
+                                   const GammaFunction &Gamma) {
+  ReduceModels Models;
+  Models.Gamma = Gamma;
+  Models.SegmentBytes = Options.SegmentBytes;
+  const unsigned NumProcs = Options.NumProcs;
+  for (ReduceAlgorithm Alg : AllReduceAlgorithms) {
+    std::vector<double> X, T;
+    for (std::size_t I = 0; I != Options.MessageSizes.size(); ++I) {
+      const std::uint64_t Bytes = Options.MessageSizes[I];
+      ReduceConfig Config;
+      Config.Algorithm = Alg;
+      Config.MessageBytes = Bytes;
+      Config.SegmentBytes =
+          Alg == ReduceAlgorithm::Linear ? 0 : Options.SegmentBytes;
+      std::uint64_t GatherBytes = std::max<std::uint64_t>(512, Bytes / 64);
+      if (GatherBytes == Options.SegmentBytes)
+        GatherBytes += 512;
+      AdaptiveOptions Adaptive = Options.Adaptive;
+      Adaptive.BaseSeed += 0x400000ull * static_cast<unsigned>(Alg) +
+                           0x100ull * I;
+      const double Mean = reduceOracle(Plat, NumProcs, Config, GatherBytes)
+                              .measure(Plat, Adaptive)
+                              .Stats.Mean;
+      const CostCoefficients C =
+          reduceCostCoefficients(Alg, NumProcs, Bytes, Config.SegmentBytes,
+                                 Gamma) +
+          linearGatherCostCoefficients(NumProcs, GatherBytes);
+      X.push_back(C.B / C.A);
+      T.push_back(Mean / C.A);
+    }
+    ReduceCalibration &Calib = Models.Algorithms[static_cast<unsigned>(Alg)];
+    Calib.Algorithm = Alg;
+    Calib.Fit = fitHuber(X, T);
+    Calib.Alpha = std::max(Calib.Fit.Intercept, 0.0);
+    Calib.Beta = std::max(Calib.Fit.Slope, 0.0);
+  }
+  return Models;
 }
 
 } // namespace
@@ -187,4 +248,52 @@ TEST(ReduceRunner, DeterministicPerSeed) {
             runReduceOnce(Plat, 16, Config, 9));
   EXPECT_NE(runReduceOnce(Plat, 16, Config, 9),
             runReduceOnce(Plat, 16, Config, 10));
+}
+
+TEST(ReduceRunner, MatchesPerRepetitionRunScheduleOracle) {
+  const Platform Plat = noisyTestPlatform(12);
+  forCleanAndFaulted("straggler-root", [&] {
+    for (ReduceAlgorithm Alg : AllReduceAlgorithms)
+      for (std::uint64_t Seed : {std::uint64_t(1), std::uint64_t(7919)}) {
+        SCOPED_TRACE(std::string(reduceAlgorithmName(Alg)) + " seed " +
+                     std::to_string(Seed));
+        ReduceConfig Config;
+        Config.Algorithm = Alg;
+        Config.MessageBytes = 48000;
+        Config.SegmentBytes = Alg == ReduceAlgorithm::Linear ? 0 : 8192;
+        Config.Root = 2;
+        AdaptiveOptions Options;
+        Options.MinReps = 3;
+        Options.MaxReps = 6;
+        Options.BaseSeed = Seed;
+        const RunnerOracle Plain =
+            reduceOracle(Plat, 12, Config, std::nullopt);
+        expectSameMeasurement(measureReduce(Plat, 12, Config, Options),
+                              Plain.measure(Plat, Options));
+        EXPECT_EQ(runReduceOnce(Plat, 12, Config, Seed),
+                  Plain.runOnce(Plat, Seed));
+        EXPECT_EQ(runReduceGatherOnce(Plat, 12, Config, 2048, Seed),
+                  reduceOracle(Plat, 12, Config, 2048).runOnce(Plat, Seed));
+      }
+  });
+}
+
+TEST(ReduceCalibration, MatchesOracleAtEveryGammaThreadCount) {
+  const Platform Plat = noisyTestPlatform(8);
+  ReduceCalibrationOptions Options;
+  Options.NumProcs = 8;
+  Options.MessageSizes = {8192, 65536, 524288};
+  Options.Adaptive.MinReps = 3;
+  Options.Adaptive.MaxReps = 5;
+  Options.GammaOptions.Adaptive = Options.Adaptive;
+  Options.GammaOptions.Threads = 1;
+  const ReduceModels Serial = calibrateReduce(Plat, Options);
+  Options.GammaOptions.Threads = 4;
+  const ReduceModels Threaded = calibrateReduce(Plat, Options);
+  for (unsigned P = 2; P <= 8; ++P)
+    EXPECT_EQ(Threaded.Gamma(P), Serial.Gamma(P));
+  const ReduceModels Oracle =
+      oracleCalibrateReduce(Plat, Options, Serial.Gamma);
+  expectSameCalibration(Serial, Oracle);
+  expectSameCalibration(Threaded, Oracle);
 }

@@ -10,6 +10,7 @@
 
 #include "coll/Scatter.h"
 #include "model/ScatterSelection.h"
+#include "oracle/RunnerOracle.h"
 #include "sim/Engine.h"
 #include "topo/Tree.h"
 
@@ -33,6 +34,55 @@ std::vector<ScatterCase> scatterCases() {
         if (Root < Size)
           Cases.emplace_back(Alg, Size, Root);
   return Cases;
+}
+
+/// The scatter experiment of the runners, rebuilt per repetition.
+RunnerOracle scatterOracle(unsigned NumProcs, const ScatterConfig &Config,
+                           std::optional<std::uint64_t> GatherBytes) {
+  RunnerOracle O;
+  O.NumProcs = NumProcs;
+  O.Append = [Config](ScheduleBuilder &B) { return appendScatter(B, Config); };
+  O.GatherBytes = GatherBytes;
+  O.Root = Config.Root;
+  O.Tag = Config.Tag;
+  return O;
+}
+
+/// calibrateScatter's sweep with every observation taken through the
+/// oracle. \p Gamma comes from the library (its estimation runs the
+/// broadcast runners, not the ones under test).
+ScatterModels oracleCalibrateScatter(const Platform &Plat,
+                                     const ScatterCalibrationOptions &Options,
+                                     const GammaFunction &Gamma) {
+  ScatterModels Models;
+  Models.Gamma = Gamma;
+  const unsigned NumProcs = Options.NumProcs;
+  for (ScatterAlgorithm Alg : AllScatterAlgorithms) {
+    std::vector<double> X, T;
+    for (std::size_t I = 0; I != Options.BlockSizes.size(); ++I) {
+      ScatterConfig Config;
+      Config.Algorithm = Alg;
+      Config.BlockBytes = Options.BlockSizes[I];
+      AdaptiveOptions Adaptive = Options.Adaptive;
+      Adaptive.BaseSeed += 0x200000ull * static_cast<unsigned>(Alg) +
+                           0x100ull * I;
+      const double Mean =
+          scatterOracle(NumProcs, Config, Options.GatherSizes[I])
+              .measure(Plat, Adaptive)
+              .Stats.Mean;
+      const CostCoefficients C =
+          scatterCostCoefficients(Alg, NumProcs, Config.BlockBytes, Gamma) +
+          linearGatherCostCoefficients(NumProcs, Options.GatherSizes[I]);
+      X.push_back(C.B / C.A);
+      T.push_back(Mean / C.A);
+    }
+    ScatterCalibration &Calib = Models.Algorithms[static_cast<unsigned>(Alg)];
+    Calib.Algorithm = Alg;
+    Calib.Fit = fitHuber(X, T);
+    Calib.Alpha = std::max(Calib.Fit.Intercept, 0.0);
+    Calib.Beta = std::max(Calib.Fit.Slope, 0.0);
+  }
+  return Models;
 }
 
 } // namespace
@@ -190,4 +240,51 @@ TEST(ScatterRunner, DeterministicAndComposable) {
   double ScatterOnly = runScatterOnce(Plat, 8, Config, 3);
   double WithGather = runScatterGatherOnce(Plat, 8, Config, 1024, 3);
   EXPECT_GT(WithGather, ScatterOnly);
+}
+
+TEST(ScatterRunner, MatchesPerRepetitionRunScheduleOracle) {
+  const Platform Plat = noisyTestPlatform(12);
+  forCleanAndFaulted("straggler-root", [&] {
+    for (ScatterAlgorithm Alg : AllScatterAlgorithms)
+      for (std::uint64_t Seed : {std::uint64_t(1), std::uint64_t(7919)}) {
+        SCOPED_TRACE(std::string(scatterAlgorithmName(Alg)) + " seed " +
+                     std::to_string(Seed));
+        ScatterConfig Config;
+        Config.Algorithm = Alg;
+        Config.BlockBytes = 3000;
+        Config.Root = 2;
+        AdaptiveOptions Options;
+        Options.MinReps = 3;
+        Options.MaxReps = 6;
+        Options.BaseSeed = Seed;
+        const RunnerOracle Plain = scatterOracle(12, Config, std::nullopt);
+        expectSameMeasurement(measureScatter(Plat, 12, Config, Options),
+                              Plain.measure(Plat, Options));
+        EXPECT_EQ(runScatterOnce(Plat, 12, Config, Seed),
+                  Plain.runOnce(Plat, Seed));
+        EXPECT_EQ(runScatterGatherOnce(Plat, 12, Config, 1024, Seed),
+                  scatterOracle(12, Config, 1024).runOnce(Plat, Seed));
+      }
+  });
+}
+
+TEST(ScatterCalibration, MatchesOracleAtEveryGammaThreadCount) {
+  const Platform Plat = noisyTestPlatform(8);
+  ScatterCalibrationOptions Options;
+  Options.NumProcs = 8;
+  Options.BlockSizes = {1024, 4096, 16384};
+  Options.GatherSizes = {512, 1024, 4096};
+  Options.Adaptive.MinReps = 3;
+  Options.Adaptive.MaxReps = 5;
+  Options.GammaOptions.Adaptive = Options.Adaptive;
+  Options.GammaOptions.Threads = 1;
+  const ScatterModels Serial = calibrateScatter(Plat, Options);
+  Options.GammaOptions.Threads = 4;
+  const ScatterModels Threaded = calibrateScatter(Plat, Options);
+  for (unsigned P = 2; P <= 8; ++P)
+    EXPECT_EQ(Threaded.Gamma(P), Serial.Gamma(P));
+  const ScatterModels Oracle =
+      oracleCalibrateScatter(Plat, Options, Serial.Gamma);
+  expectSameCalibration(Serial, Oracle);
+  expectSameCalibration(Threaded, Oracle);
 }
