@@ -24,19 +24,21 @@ static void checkRanks(const Platform &P, unsigned NumProcs) {
 
 namespace {
 
-/// The per-thread replay engine. ParallelSweep gives each worker its
-/// own thread, and a run's result is a pure function of (schedule,
-/// platform, seed, faults), so per-worker engines preserve the
-/// bit-identity of serial and threaded sweeps while letting every
-/// repetition reuse one warm arena.
+/// The per-thread replay engine of the single-shot runners.
+/// ParallelSweep gives each worker its own thread, and a run's result
+/// is a pure function of (schedule, platform, seed, faults), so
+/// per-worker engines preserve the bit-identity of serial and threaded
+/// sweeps while letting repeated single-shot calls reuse one warm
+/// arena.
 Engine &workerEngine() {
   thread_local Engine E;
   return E;
 }
 
 /// Replays \p CS on \p E and aborts on deadlock. Every simulated
-/// measurement in the process funnels through here; interned broadcast
-/// schedules on the worker engine, measurement-scoped ones on their own.
+/// measurement in the process funnels through here; interned
+/// single-shot schedules on the worker engine, measurement-scoped ones
+/// on their own.
 const ExecutionResult &replayChecked(const CompiledSchedule &CS,
                                      const Platform &P, std::uint64_t Seed,
                                      const char *What,
@@ -70,6 +72,55 @@ std::string bcastKey(const BcastConfig &Config, unsigned NumProcs) {
                    Config.Root, Config.KChainFanout, Config.Tag);
 }
 
+/// The plain-broadcast experiment over ranks 0..NumProcs-1, timed to
+/// the latest exit over all ranks.
+BuiltSchedule bcastExperiment(unsigned NumProcs, const BcastConfig &Config) {
+  ScheduleBuilder B(NumProcs);
+  BuiltSchedule Built;
+  Built.Exit = appendBcast(B, Config);
+  Built.S = B.take();
+  return Built;
+}
+
+/// The Sect. 4.2 calibration experiment: the broadcast closed by a
+/// linear gather of \p GatherBytes per rank, timed on the root.
+BuiltSchedule bcastGatherExperiment(unsigned NumProcs,
+                                    const BcastConfig &Bcast,
+                                    std::uint64_t GatherBytes) {
+  ScheduleBuilder B(NumProcs);
+  return closeWithGather(B, appendBcast(B, Bcast), GatherBytes, Bcast.Root,
+                         Bcast.Tag);
+}
+
+/// Plain broadcast replays are what the deployed selection serves, so
+/// they are the drift sentinel's feed; the calibration's bcast+gather
+/// experiments deliberately are not (a repair measuring through them
+/// must not re-trigger itself). One atomic load when no sentinel is
+/// installed. Returns \p Latency.
+double feedDriftSentinel(unsigned NumProcs, const BcastConfig &Config,
+                         double Latency) {
+  if (DriftSentinel *Sentinel = globalDriftSentinel())
+    Sentinel->observe(Config.Algorithm, NumProcs, Config.MessageBytes,
+                      Latency);
+  return Latency;
+}
+
+/// measureExperiment with every repetition's time passed through
+/// \p Observe before the stopping rule sees it.
+template <typename ObserveFn>
+AdaptiveResult measureScoped(const Platform &P, BuiltSchedule Built,
+                             const char *What, const AdaptiveOptions &Options,
+                             ObserveFn Observe) {
+  checkRanks(P, Built.S.RankCount);
+  const InternedSchedule Experiment = compileBuiltSchedule(std::move(Built));
+  Engine E; // Not the worker engine: see the file comment of Runner.h.
+  return measureAdaptively(
+      [&](std::uint64_t Seed) {
+        return Observe(replayExperiment(Experiment, P, Seed, What, E));
+      },
+      Options);
+}
+
 } // namespace
 
 BuiltSchedule mpicsel::closeWithGather(ScheduleBuilder &B,
@@ -99,45 +150,27 @@ AdaptiveResult mpicsel::measureExperiment(const Platform &P,
                                           BuiltSchedule Built,
                                           const char *What,
                                           const AdaptiveOptions &Options) {
-  checkRanks(P, Built.S.RankCount);
-  const InternedSchedule Experiment = compileBuiltSchedule(std::move(Built));
-  Engine E; // Not the worker engine: see the file comment of Runner.h.
-  return measureAdaptively(
-      [&](std::uint64_t Seed) {
-        return replayExperiment(Experiment, P, Seed, What, E);
-      },
-      Options);
+  return measureScoped(P, std::move(Built), What, Options,
+                       [](double Time) { return Time; });
 }
 
 double mpicsel::runBcastOnce(const Platform &P, unsigned NumProcs,
                              const BcastConfig &Config, std::uint64_t Seed) {
   checkRanks(P, NumProcs);
   InternedScheduleRef IS = ScheduleInternCache::global().intern(
-      "bcast|" + bcastKey(Config, NumProcs), [&] {
-        ScheduleBuilder B(NumProcs);
-        BuiltSchedule Built;
-        Built.Exit = appendBcast(B, Config);
-        Built.S = B.take();
-        return Built;
-      });
-  const double Latency = replayExperiment(*IS, P, Seed, "broadcast");
-  // Plain broadcast replays are what the deployed selection serves,
-  // so they are the drift sentinel's feed; the calibration's
-  // bcast+gather experiments deliberately are not (a repair measuring
-  // through them must not re-trigger itself). One atomic load when no
-  // sentinel is installed.
-  if (DriftSentinel *Sentinel = globalDriftSentinel())
-    Sentinel->observe(Config.Algorithm, NumProcs, Config.MessageBytes,
-                      Latency);
-  return Latency;
+      "bcast|" + bcastKey(Config, NumProcs),
+      [&] { return bcastExperiment(NumProcs, Config); });
+  return feedDriftSentinel(NumProcs, Config,
+                           replayExperiment(*IS, P, Seed, "broadcast"));
 }
 
 AdaptiveResult mpicsel::measureBcast(const Platform &P, unsigned NumProcs,
                                      const BcastConfig &Config,
                                      const AdaptiveOptions &Options) {
-  return measureAdaptively(
-      [&](std::uint64_t Seed) { return runBcastOnce(P, NumProcs, Config, Seed); },
-      Options);
+  return measureScoped(P, bcastExperiment(NumProcs, Config), "broadcast",
+                       Options, [&](double Latency) {
+                         return feedDriftSentinel(NumProcs, Config, Latency);
+                       });
 }
 
 double mpicsel::runBcastGatherOnce(const Platform &P, unsigned NumProcs,
@@ -149,11 +182,7 @@ double mpicsel::runBcastGatherOnce(const Platform &P, unsigned NumProcs,
       strFormat("bcastgather|gb=%llu|",
                 static_cast<unsigned long long>(GatherBytes)) +
           bcastKey(Bcast, NumProcs),
-      [&] {
-        ScheduleBuilder B(NumProcs);
-        return closeWithGather(B, appendBcast(B, Bcast), GatherBytes,
-                               Bcast.Root, Bcast.Tag);
-      });
+      [&] { return bcastGatherExperiment(NumProcs, Bcast, GatherBytes); });
   // The experiment starts and finishes on the root (paper Sect. 4.2).
   return replayExperiment(*IS, P, Seed, "bcast+gather");
 }
@@ -163,11 +192,9 @@ AdaptiveResult mpicsel::measureBcastGather(const Platform &P,
                                            const BcastConfig &Bcast,
                                            std::uint64_t GatherBytes,
                                            const AdaptiveOptions &Options) {
-  return measureAdaptively(
-      [&](std::uint64_t Seed) {
-        return runBcastGatherOnce(P, NumProcs, Bcast, GatherBytes, Seed);
-      },
-      Options);
+  return measureExperiment(P,
+                           bcastGatherExperiment(NumProcs, Bcast, GatherBytes),
+                           "bcast+gather", Options);
 }
 
 double mpicsel::runLinearBcastTrainOnce(const Platform &P, unsigned NumProcs,

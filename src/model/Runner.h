@@ -18,11 +18,21 @@
 ///  * the Sect. 4.1 gamma experiment -- N successive linear
 ///    broadcasts separated by barriers -- timed on the root.
 ///
-/// Broadcast experiments intern their schedules (mpi/ScheduleIntern.h).
-/// The other collectives use measureExperiment: one compile and one
-/// engine per measurement. Their large schedules are reused only within
-/// it, so interning them would crowd the cache and a long-lived engine
-/// would keep their largest arena resident.
+/// Every adaptive measurement -- measureBcast, measureBcastGather and
+/// the other collectives' measure* through measureExperiment --
+/// compiles its experiment once, without its source, and replays every
+/// repetition on an engine of its own; both are freed when the
+/// measurement ends. The paper's method finishes one (algorithm, P, m)
+/// experiment before it starts the next, so a schedule is reused only
+/// within its measurement: a cache across measurements would hold
+/// memory without saving a build, and a long-lived engine would keep
+/// the largest arena resident.
+///
+/// The single-shot runners of broadcast-family experiments
+/// (runBcastOnce, runBcastGatherOnce, the trains and the ping-pong)
+/// intern their schedules (mpi/ScheduleIntern.h) and replay on a
+/// per-thread engine. Their callers invoke them once per repetition in
+/// loops of their own, so there reuse across calls is the point.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -70,8 +80,10 @@ AdaptiveResult measureExperiment(const Platform &P, BuiltSchedule Built,
 double runBcastOnce(const Platform &P, unsigned NumProcs,
                     const BcastConfig &Config, std::uint64_t Seed);
 
-/// Adaptively repeats runBcastOnce until the paper's 95%/2.5%
-/// criterion is met and returns the statistics.
+/// Adaptively repeats the experiment of runBcastOnce until the paper's
+/// 95%/2.5% criterion is met and returns the statistics. Compiled once
+/// as measureExperiment does; like runBcastOnce, it feeds every
+/// repetition to the installed drift sentinel.
 AdaptiveResult measureBcast(const Platform &P, unsigned NumProcs,
                             const BcastConfig &Config,
                             const AdaptiveOptions &Options = {});
@@ -84,7 +96,8 @@ double runBcastGatherOnce(const Platform &P, unsigned NumProcs,
                           const BcastConfig &Bcast, std::uint64_t GatherBytes,
                           std::uint64_t Seed);
 
-/// Adaptive wrapper around runBcastGatherOnce.
+/// Adaptive measurement of the experiment of runBcastGatherOnce,
+/// through measureExperiment.
 AdaptiveResult measureBcastGather(const Platform &P, unsigned NumProcs,
                                   const BcastConfig &Bcast,
                                   std::uint64_t GatherBytes,

@@ -6,13 +6,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A process-wide cache of compiled schedules. The paper's method runs
-/// thousands of repetitions per (collective, algorithm, P, m, segment)
-/// grid point -- calibration trains, gamma experiments, selection
-/// sweeps -- and every repetition of one point executes the *same*
-/// schedule with a different seed. Interning builds and compiles that
-/// schedule once and hands every repetition (on every ParallelSweep
-/// worker) the same immutable CompiledSchedule.
+/// A process-wide cache of compiled schedules for the single-shot
+/// runners of model/Runner.h (runBcastOnce, runBcastGatherOnce, the
+/// gamma and barrier trains, the ping-pong) and for schedlint. Their
+/// callers invoke them once per repetition in loops of their own --
+/// the barrier-train gamma method, Hockney ping-pongs, canary sweeps
+/// -- and every call for one grid point executes the *same* schedule
+/// with a different seed. Interning builds and compiles that schedule
+/// once and hands every call (on every ParallelSweep worker) the same
+/// immutable CompiledSchedule. Adaptive measurements do not intern:
+/// each compiles its experiment once and frees it when it ends
+/// (model/Runner.h).
 ///
 /// Keys are explicit strings assembled by the caller from everything
 /// that determines the schedule's shape (collective, algorithm, rank
@@ -77,9 +81,10 @@ InternedSchedule compileBuiltSchedule(BuiltSchedule Built);
 /// entry keep it alive and valid.
 class ScheduleInternCache {
 public:
-  /// Heap bytes the process-wide cache may hold. The paper pipelines'
-  /// largest entry is about 17 MB; 64 MiB keeps the entries of a few
-  /// grid points at once, which is all the repetition pattern reuses.
+  /// Heap bytes the process-wide cache may hold. A broadcast entry at
+  /// the paper's largest grid point is about 17 MB; 64 MiB keeps the
+  /// entries of a few grid points at once, which is all a loop of
+  /// single-shot calls reuses.
   static constexpr std::size_t DefaultBudgetBytes = std::size_t{64} << 20;
 
   /// Cache observability for tests and tools.

@@ -9,14 +9,19 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "drift/Drift.h"
 #include "model/Calibration.h"
 #include "model/Runner.h"
 #include "model/Selection.h"
 #include "model/TraditionalModels.h"
+#include "mpi/ScheduleIntern.h"
+#include "oracle/RunnerOracle.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
+#include <string>
 
 using namespace mpicsel;
 
@@ -37,6 +42,27 @@ CalibrationOptions quickOptions(unsigned NumProcs) {
   Options.Adaptive.MinReps = 3;
   Options.Adaptive.MaxReps = 8;
   return Options;
+}
+
+/// The broadcast experiment of the runners, rebuilt per repetition;
+/// with \p GatherBytes, the Sect. 4.2 bcast+gather experiment.
+RunnerOracle bcastOracle(unsigned NumProcs, const BcastConfig &Config,
+                         std::optional<std::uint64_t> GatherBytes) {
+  RunnerOracle O;
+  O.NumProcs = NumProcs;
+  O.Append = [Config](ScheduleBuilder &B) { return appendBcast(B, Config); };
+  O.GatherBytes = GatherBytes;
+  O.Root = Config.Root;
+  O.Tag = Config.Tag;
+  return O;
+}
+
+BcastConfig bcastConfig(BcastAlgorithm Alg, std::uint64_t MessageBytes) {
+  BcastConfig Config;
+  Config.Algorithm = Alg;
+  Config.MessageBytes = MessageBytes;
+  Config.SegmentBytes = Alg == BcastAlgorithm::Linear ? 0 : 8192;
+  return Config;
 }
 
 } // namespace
@@ -286,4 +312,105 @@ TEST(Runner, HockneyMeasurementRecoversPlatformScale) {
   EXPECT_GT(H.Alpha, 5e-6);
   EXPECT_LT(H.Alpha, 30e-6);
   EXPECT_NEAR(H.Beta, 1e-9, 0.3e-9);
+}
+
+//===----------------------------------------------------------------------===//
+// Broadcast runners: one compile and one engine per measurement
+//===----------------------------------------------------------------------===//
+
+TEST(BcastRunner, MatchesPerRepetitionRunScheduleOracle) {
+  const Platform Plat = noisyTestPlatform(12);
+  forCleanAndFaulted("straggler-root", [&] {
+    for (BcastAlgorithm Alg : AllBcastAlgorithms)
+      for (std::uint64_t Seed : {std::uint64_t(1), std::uint64_t(7919)}) {
+        SCOPED_TRACE(std::string(bcastAlgorithmName(Alg)) + " seed " +
+                     std::to_string(Seed));
+        const BcastConfig Config = bcastConfig(Alg, 48000);
+        AdaptiveOptions Options;
+        Options.MinReps = 3;
+        Options.MaxReps = 6;
+        Options.BaseSeed = Seed;
+        const RunnerOracle Plain = bcastOracle(12, Config, std::nullopt);
+        const RunnerOracle Gathered = bcastOracle(12, Config, 2048);
+        expectSameMeasurement(measureBcast(Plat, 12, Config, Options),
+                              Plain.measure(Plat, Options));
+        expectSameMeasurement(
+            measureBcastGather(Plat, 12, Config, 2048, Options),
+            Gathered.measure(Plat, Options));
+        EXPECT_EQ(runBcastOnce(Plat, 12, Config, Seed),
+                  Plain.runOnce(Plat, Seed));
+        EXPECT_EQ(runBcastGatherOnce(Plat, 12, Config, 2048, Seed),
+                  Gathered.runOnce(Plat, Seed));
+      }
+  });
+}
+
+TEST(BcastRunner, RepetitionsReplayOnAWarmArena) {
+  const Platform Plat = noisyTestPlatform(12);
+  const BcastConfig Config = bcastConfig(BcastAlgorithm::Binomial, 65536);
+  {
+    SCOPED_TRACE("broadcast");
+    expectWarmReplays(8, [&](const AdaptiveOptions &Options) {
+      return measureBcast(Plat, 12, Config, Options);
+    });
+  }
+  SCOPED_TRACE("bcast+gather");
+  expectWarmReplays(8, [&](const AdaptiveOptions &Options) {
+    return measureBcastGather(Plat, 12, Config, 4096, Options);
+  });
+}
+
+TEST(BcastRunner, MeasurementMakesNoInternLookups) {
+  // Adaptive measurements compile their experiment once and never
+  // touch the intern cache; only single-shot runs intern.
+  const Platform Plat = noisyTestPlatform(12);
+  const BcastConfig Config = bcastConfig(BcastAlgorithm::SplitBinary, 65536);
+  AdaptiveOptions Options;
+  Options.MinReps = 3;
+  Options.MaxReps = 6;
+  GammaEstimationOptions Gamma;
+  Gamma.MaxP = 6;
+  Gamma.Adaptive = Options;
+  ScheduleInternCache Cache;
+  ScheduleInternCache::ScopedGlobal Install(Cache);
+  measureBcast(Plat, 12, Config, Options);
+  measureBcastGather(Plat, 12, Config, 4096, Options);
+  CalibratedModels Models;
+  Models.Gamma = estimateGamma(Plat, Gamma).Gamma;
+  evaluateSelectionPoint(Plat, 12, 65536, Models, Options);
+  EXPECT_EQ(Cache.stats().Hits + Cache.stats().Misses, 0u);
+
+  runBcastOnce(Plat, 12, Config, 1);
+  runBcastOnce(Plat, 12, Config, 2);
+  EXPECT_EQ(Cache.stats().Misses, 1u);
+  EXPECT_EQ(Cache.stats().Hits, 1u);
+}
+
+TEST(BcastRunner, MeasureFeedsDriftSentinelOncePerRepetition) {
+  const Platform Plat = noisyTestPlatform(12);
+  CalibratedModels Models;
+  for (BcastAlgorithm Alg : AllBcastAlgorithms) {
+    AlgorithmCalibration &C = Models.Algorithms[static_cast<unsigned>(Alg)];
+    C.Algorithm = Alg;
+    C.Alpha = 1e-5;
+    C.Beta = 1e-9;
+  }
+  DriftSentinel Sentinel(DriftMode::Warn);
+  Sentinel.bindModels(&Models);
+  ScopedDriftSentinel Install(Sentinel);
+  AdaptiveOptions Options;
+  Options.MinReps = 4;
+  Options.MaxReps = 12;
+  for (BcastAlgorithm Alg : AllBcastAlgorithms) {
+    SCOPED_TRACE(bcastAlgorithmName(Alg));
+    const BcastConfig Config = bcastConfig(Alg, 65536);
+    const std::uint64_t Before = Sentinel.stats().Samples;
+    const AdaptiveResult R = measureBcast(Plat, 12, Config, Options);
+    ASSERT_GE(R.Observations.size(), Options.MinReps);
+    EXPECT_EQ(Sentinel.stats().Samples - Before, R.Observations.size());
+    // The calibration experiment is not the sentinel's feed.
+    const std::uint64_t Gathered = Sentinel.stats().Samples;
+    measureBcastGather(Plat, 12, Config, 4096, Options);
+    EXPECT_EQ(Sentinel.stats().Samples, Gathered);
+  }
 }

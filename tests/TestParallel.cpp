@@ -561,28 +561,40 @@ TEST(ScheduleIntern, EvictThenRebuildIsBitIdentical) {
 }
 
 TEST(Parallel, CalibrationBitIdenticalWithTinyInternBudget) {
-  // With room for barely one schedule, nearly every repetition
-  // rebuilds; serial and 8-thread calibrations must still agree bit
-  // for bit with each other and with the default-budget cache.
+  // Under a cache with room for barely one schedule, serial and
+  // 8-thread calibrations must agree bit for bit with each other and
+  // with the default-budget cache. The default calibration (direct
+  // gamma method, bcast+gather experiments) compiles once per
+  // measurement and makes no lookups at all; the barrier-train gamma
+  // method still interns, so there nearly every repetition rebuilds.
   Platform Plat = smallCluster();
-  CalibrationOptions Options = quickOptions(12);
-  Options.Threads = 1;
-  ScheduleInternCache::global().clear();
-  const CalibratedModels Reference = calibrate(Plat, Options);
+  for (bool BarrierTrain : {false, true}) {
+    SCOPED_TRACE(BarrierTrain ? "barrier-train gamma" : "direct gamma");
+    CalibrationOptions Options = quickOptions(12);
+    Options.GammaOptions.UseBarrierTrain = BarrierTrain;
+    Options.Threads = 1;
+    ScheduleInternCache::global().clear();
+    const CalibratedModels Reference = calibrate(Plat, Options);
 
-  ScheduleInternCache Tiny(64 * 1024);
-  {
-    ScheduleInternCache::ScopedGlobal Install(Tiny);
-    ASSERT_EQ(&ScheduleInternCache::global(), &Tiny);
-    const CalibratedModels Serial = calibrate(Plat, Options);
-    Options.Threads = 8;
-    const CalibratedModels Threaded = calibrate(Plat, Options);
-    expectModelsIdentical(Serial, Threaded);
-    expectModelsIdentical(Reference, Serial);
+    ScheduleInternCache Tiny(64 * 1024);
+    {
+      ScheduleInternCache::ScopedGlobal Install(Tiny);
+      ASSERT_EQ(&ScheduleInternCache::global(), &Tiny);
+      const CalibratedModels Serial = calibrate(Plat, Options);
+      Options.Threads = 8;
+      const CalibratedModels Threaded = calibrate(Plat, Options);
+      expectModelsIdentical(Serial, Threaded);
+      expectModelsIdentical(Reference, Serial);
+    }
+    EXPECT_NE(&ScheduleInternCache::global(), &Tiny);
+    const ScheduleInternCache::CacheStats Stats = Tiny.stats();
+    if (BarrierTrain) {
+      EXPECT_GT(Stats.Evictions, 0u);
+      EXPECT_LE(Stats.Entries, Stats.Misses);
+    } else {
+      EXPECT_EQ(Stats.Hits + Stats.Misses, 0u);
+    }
   }
-  EXPECT_NE(&ScheduleInternCache::global(), &Tiny);
-  EXPECT_GT(Tiny.stats().Evictions, 0u);
-  EXPECT_LE(Tiny.stats().Entries, Tiny.stats().Misses);
 }
 
 TEST(ScheduleIntern, VerifierPassesOnEntriesWithoutSource) {

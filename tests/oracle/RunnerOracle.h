@@ -10,9 +10,10 @@
 /// bit for bit: every repetition rebuilds the experiment's schedule
 /// and runs it through the one-shot runSchedule facade (a fresh
 /// compile and a fresh engine per seed). The library compiles each
-/// measurement once and replays it on a warm per-thread engine
-/// (model/Runner.h); the tests hold that to this oracle, and check
-/// the warm replay with expectWarmReplays.
+/// measurement once and replays it on an engine of the measurement's
+/// own, warm from the second repetition (model/Runner.h); the tests
+/// hold that to this oracle, and check the warm replay with
+/// expectWarmReplays.
 ///
 //===----------------------------------------------------------------------===//
 
