@@ -23,6 +23,7 @@
 #include "support/CommandLine.h"
 #include "support/Json.h"
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -136,6 +137,45 @@ inline CalibrationRun calibratePaperSetupTimed(const Platform &P, bool Quick,
 /// repetition counts for fast smoke runs.
 inline CalibratedModels calibratePaperSetup(const Platform &P, bool Quick) {
   return calibratePaperSetupTimed(P, Quick).Models;
+}
+
+/// One selection point of \p Op: every algorithm measured at one size,
+/// the measured best, and the models' choice.
+template <CollectiveOp Op> struct SelectPoint {
+  using Algorithm = typename CollectiveDescriptor<Op>::Algorithm;
+  std::array<double, CollectiveDescriptor<Op>::Algorithms.size()> Time{};
+  Algorithm Best{};
+  Algorithm Model{};
+
+  double time(Algorithm A) const { return Time[static_cast<unsigned>(A)]; }
+  /// (T(A) - T_best) / T_best.
+  double degradation(Algorithm A) const {
+    return time(A) / time(Best) - 1.0;
+  }
+};
+
+/// Measures every algorithm of \p Op at \p Bytes on \p NumProcs ranks,
+/// at the models' segment size, and scores the models' choice.
+template <CollectiveOp Op>
+SelectPoint<Op> measureSelectPoint(const Platform &P, unsigned NumProcs,
+                                   std::uint64_t Bytes,
+                                   const CollectiveModels<Op> &Models,
+                                   const AdaptiveOptions &Measure = {}) {
+  using Descriptor = CollectiveDescriptor<Op>;
+  SelectPoint<Op> Point;
+  Point.Model = Models.selectBest(NumProcs, Bytes);
+  for (auto A : Descriptor::Algorithms) {
+    const double Time =
+        measureCollective<Op>(
+            P, NumProcs,
+            Descriptor::config(A, Models.query(A, NumProcs, Bytes)), Measure)
+            .Stats.Mean;
+    Point.Time[static_cast<unsigned>(A)] = Time;
+    // Best starts at ordinal 0, the first algorithm measured.
+    if (Time < Point.time(Point.Best))
+      Point.Best = A;
+  }
+  return Point;
 }
 
 /// Prints a section banner.

@@ -20,8 +20,6 @@
 #include "BenchCommon.h"
 
 #include "coll/OmpiDecision.h"
-#include "model/AllgatherSelection.h"
-#include "model/AllreduceSelection.h"
 #include "obs/Rss.h"
 #include "support/CommandLine.h"
 #include "support/Format.h"
@@ -64,9 +62,16 @@ AdaptiveOptions measureOptions(bool Quick) {
   return Options;
 }
 
-PanelSummary runAllreducePanel(const Platform &Plat, unsigned CalibProcs,
-                               unsigned SelectProcs, bool Quick, bool Csv) {
-  AllreduceCalibrationOptions Options;
+/// Calibrates \p Op on \p Plat, then scores the model-based selection
+/// and Open MPI's fixed rule (\p OmpiRule) against the measured best
+/// at every size of \p Sizes.
+template <CollectiveOp Op, typename OmpiRuleFn>
+PanelSummary runPanel(const Platform &Plat, unsigned CalibProcs,
+                      unsigned SelectProcs, bool Quick, bool Csv,
+                      const char *Title, const char *SizeHeader,
+                      const std::vector<std::uint64_t> &Sizes,
+                      OmpiRuleFn OmpiRule) {
+  CollectiveOptions<Op> Options;
   Options.NumProcs = CalibProcs;
   if (Quick) {
     Options.Adaptive.MinReps = 3;
@@ -74,103 +79,27 @@ PanelSummary runAllreducePanel(const Platform &Plat, unsigned CalibProcs,
     Options.GammaOptions.Adaptive.MinReps = 3;
     Options.GammaOptions.Adaptive.MaxReps = 8;
   }
-  AllreduceModels Models = calibrateAllreduce(Plat, Options);
+  const CollectiveModels<Op> Models = calibrateCollective<Op>(Plat, Options);
   const AdaptiveOptions Measure = measureOptions(Quick);
+  auto name = [](auto Alg) {
+    return collectiveAlgorithmName(Op, static_cast<unsigned>(Alg));
+  };
 
-  Table T({"m", "best", "t(best)", "model (%)", "ompi (%)"});
-  T.setTitle(strFormat("MPI_Allreduce on %s, P = %u (calibrated at %u)",
+  Table T({SizeHeader, "best", "t(best)", "model (%)", "ompi (%)"});
+  T.setTitle(strFormat("%s on %s, P = %u (calibrated at %u)", Title,
                        Plat.Name.c_str(), SelectProcs, CalibProcs));
   PanelSummary S;
-  for (std::uint64_t MessageBytes : paperMessageSizes()) {
-    const AllreduceAlgorithm ModelChoice =
-        Models.selectBest(SelectProcs, MessageBytes);
-    const AllreduceAlgorithm OmpiChoice =
-        ompiAllreduceDecisionFixed(SelectProcs, MessageBytes);
-    double Best = 0, Model = 0, Ompi = 0;
-    AllreduceAlgorithm BestAlg = AllreduceAlgorithm::RecursiveDoubling;
-    for (AllreduceAlgorithm Alg : AllAllreduceAlgorithms) {
-      AllreduceConfig Config;
-      Config.Algorithm = Alg;
-      Config.MessageBytes = MessageBytes;
-      Config.SegmentBytes = Models.SegmentBytes;
-      const double Time =
-          measureAllreduce(Plat, SelectProcs, Config, Measure).Stats.Mean;
-      if (Best == 0 || Time < Best) {
-        Best = Time;
-        BestAlg = Alg;
-      }
-      if (Alg == ModelChoice)
-        Model = Time;
-      if (Alg == OmpiChoice)
-        Ompi = Time;
-    }
-    S.add(Best, Model, Ompi);
-    T.addRow({formatBytes(MessageBytes), allreduceAlgorithmName(BestAlg),
-              formatSeconds(Best),
-              strFormat("%s (%.0f)", allreduceAlgorithmName(ModelChoice),
-                        (Model / Best - 1.0) * 100),
-              strFormat("%s (%.0f)", allreduceAlgorithmName(OmpiChoice),
-                        (Ompi / Best - 1.0) * 100)});
-  }
-  if (Csv)
-    std::fputs(T.renderCsv().c_str(), stdout);
-  else
-    T.print();
-  std::printf("model-based near-optimal (<=10%%) at %u/%u sizes (worst "
-              "%s); Open MPI at %u/%u (worst %s)\n\n",
-              S.ModelNearOptimal, S.Points,
-              formatPercent(S.WorstModel).c_str(), S.OmpiNearOptimal,
-              S.Points, formatPercent(S.WorstOmpi).c_str());
-  return S;
-}
-
-PanelSummary runAllgatherPanel(const Platform &Plat, unsigned CalibProcs,
-                               unsigned SelectProcs, bool Quick, bool Csv) {
-  AllgatherCalibrationOptions Options;
-  Options.NumProcs = CalibProcs;
-  if (Quick) {
-    Options.Adaptive.MinReps = 3;
-    Options.Adaptive.MaxReps = 8;
-    Options.GammaOptions.Adaptive.MinReps = 3;
-    Options.GammaOptions.Adaptive.MaxReps = 8;
-  }
-  AllgatherModels Models = calibrateAllgather(Plat, Options);
-  const AdaptiveOptions Measure = measureOptions(Quick);
-
-  Table T({"block", "best", "t(best)", "model (%)", "ompi (%)"});
-  T.setTitle(strFormat("MPI_Allgather on %s, P = %u (calibrated at %u)",
-                       Plat.Name.c_str(), SelectProcs, CalibProcs));
-  PanelSummary S;
-  for (std::uint64_t BlockBytes = 1024; BlockBytes <= 64 * 1024;
-       BlockBytes *= 2) {
-    const AllgatherAlgorithm ModelChoice =
-        Models.selectBest(SelectProcs, BlockBytes);
-    const AllgatherAlgorithm OmpiChoice =
-        ompiAllgatherDecisionFixed(SelectProcs, BlockBytes);
-    double Best = 0, Model = 0, Ompi = 0;
-    AllgatherAlgorithm BestAlg = AllgatherAlgorithm::Ring;
-    for (AllgatherAlgorithm Alg : AllAllgatherAlgorithms) {
-      AllgatherConfig Config;
-      Config.Algorithm = Alg;
-      Config.BlockBytes = BlockBytes;
-      const double Time =
-          measureAllgather(Plat, SelectProcs, Config, Measure).Stats.Mean;
-      if (Best == 0 || Time < Best) {
-        Best = Time;
-        BestAlg = Alg;
-      }
-      if (Alg == ModelChoice)
-        Model = Time;
-      if (Alg == OmpiChoice)
-        Ompi = Time;
-    }
-    S.add(Best, Model, Ompi);
-    T.addRow({formatBytes(BlockBytes), allgatherAlgorithmName(BestAlg),
-              formatSeconds(Best),
-              strFormat("%s (%.0f)", allgatherAlgorithmName(ModelChoice),
-                        (Model / Best - 1.0) * 100),
-              strFormat("%s (%.0f)", allgatherAlgorithmName(OmpiChoice),
-                        (Ompi / Best - 1.0) * 100)});
+  for (std::uint64_t Bytes : Sizes) {
+    const SelectPoint<Op> Point =
+        measureSelectPoint(Plat, SelectProcs, Bytes, Models, Measure);
+    const auto Ompi = OmpiRule(SelectProcs, Bytes);
+    const double Best = Point.time(Point.Best);
+    S.add(Best, Point.time(Point.Model), Point.time(Ompi));
+    T.addRow({formatBytes(Bytes), name(Point.Best), formatSeconds(Best),
+              strFormat("%s (%.0f)", name(Point.Model),
+                        Point.degradation(Point.Model) * 100),
+              strFormat("%s (%.0f)", name(Ompi),
+                        Point.degradation(Ompi) * 100)});
   }
   if (Csv)
     std::fputs(T.renderCsv().c_str(), stdout);
@@ -223,9 +152,15 @@ int main(int Argc, char **Argv) {
     const std::string Key =
         strFormat("%s_p%u", Plat.Name.c_str(), SelectProcs);
     reportPanel(Report, "allreduce_" + Key,
-                runAllreducePanel(Plat, CalibProcs, SelectProcs, Quick, Csv));
+                runPanel<CollectiveOp::Allreduce>(
+                    Plat, CalibProcs, SelectProcs, Quick, Csv,
+                    "MPI_Allreduce", "m", paperMessageSizes(),
+                    ompiAllreduceDecisionFixed));
     reportPanel(Report, "allgather_" + Key,
-                runAllgatherPanel(Plat, CalibProcs, SelectProcs, Quick, Csv));
+                runPanel<CollectiveOp::Allgather>(
+                    Plat, CalibProcs, SelectProcs, Quick, Csv,
+                    "MPI_Allgather", "block", doublingSizes(1024, 64 * 1024),
+                    ompiAllgatherDecisionFixed));
   }
   // Max-bounded by the baseline's budget: per-repetition recompiles or
   // interning these runners' large schedules would show up here.

@@ -17,8 +17,6 @@
 
 #include "BenchCommon.h"
 
-#include "model/ReduceSelection.h"
-#include "model/ScatterSelection.h"
 #include "support/CommandLine.h"
 #include "support/Format.h"
 #include "support/Table.h"
@@ -54,77 +52,31 @@ struct PanelSummary {
   }
 };
 
-PanelSummary runReducePanel(const Platform &Plat, unsigned CalibProcs,
-                            unsigned SelectProcs) {
-  ReduceCalibrationOptions Options;
+/// Calibrates \p Op on \p Plat and scores the model-based selection
+/// against the measured best at every size of \p Sizes.
+template <CollectiveOp Op>
+PanelSummary runPanel(const Platform &Plat, unsigned CalibProcs,
+                      unsigned SelectProcs, const char *Title,
+                      const char *SizeHeader,
+                      const std::vector<std::uint64_t> &Sizes) {
+  CollectiveOptions<Op> Options;
   Options.NumProcs = CalibProcs;
-  ReduceModels Models = calibrateReduce(Plat, Options);
+  const CollectiveModels<Op> Models = calibrateCollective<Op>(Plat, Options);
+  auto name = [](auto Alg) {
+    return collectiveAlgorithmName(Op, static_cast<unsigned>(Alg));
+  };
 
-  Table T({"m", "best", "t(best)", "model picks", "deg"});
-  T.setTitle(strFormat("MPI_Reduce on %s, P = %u (calibrated at %u)",
+  Table T({SizeHeader, "best", "t(best)", "model picks", "deg"});
+  T.setTitle(strFormat("%s on %s, P = %u (calibrated at %u)", Title,
                        Plat.Name.c_str(), SelectProcs, CalibProcs));
   PanelSummary S;
-  for (std::uint64_t MessageBytes : paperMessageSizes()) {
-    double Best = 0, Chosen = 0;
-    ReduceAlgorithm BestAlg = ReduceAlgorithm::Linear;
-    ReduceAlgorithm Choice = Models.selectBest(SelectProcs, MessageBytes);
-    for (ReduceAlgorithm Alg : AllReduceAlgorithms) {
-      ReduceConfig Config;
-      Config.Algorithm = Alg;
-      Config.MessageBytes = MessageBytes;
-      Config.SegmentBytes =
-          Alg == ReduceAlgorithm::Linear ? 0 : Models.SegmentBytes;
-      double Time =
-          measureReduce(Plat, SelectProcs, Config).Stats.Mean;
-      if (Best == 0 || Time < Best) {
-        Best = Time;
-        BestAlg = Alg;
-      }
-      if (Alg == Choice)
-        Chosen = Time;
-    }
-    const double Deg = S.add(Best, Chosen);
-    T.addRow({formatBytes(MessageBytes), reduceAlgorithmName(BestAlg),
-              formatSeconds(Best), reduceAlgorithmName(Choice),
-              formatPercent(Deg)});
-  }
-  T.print();
-  S.print();
-  return S;
-}
-
-PanelSummary runScatterPanel(const Platform &Plat, unsigned CalibProcs,
-                             unsigned SelectProcs) {
-  ScatterCalibrationOptions Options;
-  Options.NumProcs = CalibProcs;
-  ScatterModels Models = calibrateScatter(Plat, Options);
-
-  Table T({"block", "best", "t(best)", "model picks", "deg"});
-  T.setTitle(strFormat("MPI_Scatter on %s, P = %u (calibrated at %u)",
-                       Plat.Name.c_str(), SelectProcs, CalibProcs));
-  PanelSummary S;
-  for (std::uint64_t BlockBytes = 1024; BlockBytes <= 128 * 1024;
-       BlockBytes *= 2) {
-    double Best = 0, Chosen = 0;
-    ScatterAlgorithm BestAlg = ScatterAlgorithm::Linear;
-    ScatterAlgorithm Choice = Models.selectBest(SelectProcs, BlockBytes);
-    for (ScatterAlgorithm Alg : AllScatterAlgorithms) {
-      ScatterConfig Config;
-      Config.Algorithm = Alg;
-      Config.BlockBytes = BlockBytes;
-      double Time =
-          measureScatter(Plat, SelectProcs, Config).Stats.Mean;
-      if (Best == 0 || Time < Best) {
-        Best = Time;
-        BestAlg = Alg;
-      }
-      if (Alg == Choice)
-        Chosen = Time;
-    }
-    const double Deg = S.add(Best, Chosen);
-    T.addRow({formatBytes(BlockBytes), scatterAlgorithmName(BestAlg),
-              formatSeconds(Best), scatterAlgorithmName(Choice),
-              formatPercent(Deg)});
+  for (std::uint64_t Bytes : Sizes) {
+    const SelectPoint<Op> Point =
+        measureSelectPoint(Plat, SelectProcs, Bytes, Models);
+    const double Best = Point.time(Point.Best);
+    const double Deg = S.add(Best, Point.time(Point.Model));
+    T.addRow({formatBytes(Bytes), name(Point.Best), formatSeconds(Best),
+              name(Point.Model), formatPercent(Deg)});
   }
   T.print();
   S.print();
@@ -160,9 +112,13 @@ int main(int Argc, char **Argv) {
     const std::string Key =
         strFormat("%s_p%u", Plat.Name.c_str(), SelectProcs);
     reportPanel(Report, "reduce_" + Key,
-                runReducePanel(Plat, CalibProcs, SelectProcs));
+                runPanel<CollectiveOp::Reduce>(Plat, CalibProcs, SelectProcs,
+                                               "MPI_Reduce", "m",
+                                               paperMessageSizes()));
     reportPanel(Report, "scatter_" + Key,
-                runScatterPanel(Plat, CalibProcs, SelectProcs));
+                runPanel<CollectiveOp::Scatter>(
+                    Plat, CalibProcs, SelectProcs, "MPI_Scatter", "block",
+                    doublingSizes(1024, 128 * 1024)));
   }
   std::printf("This is the paper's Sect. 6 follow-up made concrete: the\n"
               "same gamma + collective-experiment calibration transfers to\n"

@@ -6,7 +6,9 @@
 #
 # Runs everything a PR must pass, in order of increasing cost:
 #
-#   1. Normal build + full ctest (with MPICSEL_VERIFY=1 preflight).
+#   1. Normal build + full ctest (with MPICSEL_VERIFY=1 preflight),
+#      then a compile-only build of the repository benchmark
+#      (perfbench/) and its analysis unit tests.
 #   2. schedlint sweep over every registered collective algorithm,
 #      plus the fault-injected sweep (schedules must stay deadlock-free
 #      when messages hang).
@@ -117,6 +119,14 @@ cmake --build build -j
 
 step "ctest (MPICSEL_VERIFY=1 is set per-test by CMake)"
 ctest --test-dir build --output-on-failure -j --timeout "$CTEST_TIMEOUT"
+
+# perfbench/ builds the library on its own and calls it by name; a
+# rename must fail here, not in the benchmark. Compile only.
+step "repository benchmark compiles (perfbench/)"
+cmake -S perfbench -B build-perfbench -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  >/dev/null
+cmake --build build-perfbench -j --target perfbench
+python3 -m unittest discover -s perfbench/tests
 
 step "schedlint sweep ($THREADS job(s))"
 ./build/tools/schedlint --jobs "$THREADS"

@@ -4,7 +4,7 @@
 
 #include "coll/Guidelines.h"
 #include "coll/Scatter.h"
-#include "model/ScatterSelection.h"
+#include "model/CostModels.h"
 #include "obs/Journal.h"
 #include "obs/Metrics.h"
 #include "stat/ParallelSweep.h"

@@ -9,7 +9,7 @@
 /// MPI_Allgather algorithms, mirroring Open MPI's `coll/base`
 /// implementations. The journal version of the source paper
 /// (arXiv:2004.11062) extends the implementation-derived modelling to
-/// allgather; this module (with model/AllgatherSelection.h) is that
+/// allgather; this module (with model/CollectiveModels.h) is that
 /// extension for this codebase.
 ///
 ///  * ring (`allgather_intra_ring`): P-1 rounds; each round every

@@ -9,7 +9,7 @@
 /// MPI_Allreduce algorithms, mirroring Open MPI's `coll/base`
 /// implementations. Allreduce is the collective the journal version
 /// of the source paper (arXiv:2004.11062) models beyond broadcast;
-/// this module (with model/AllreduceSelection.h) carries the recipe
+/// this module (with model/CollectiveModels.h) carries the recipe
 /// over.
 ///
 ///  * recursive doubling (`allreduce_intra_recursivedoubling`):

@@ -9,7 +9,7 @@
 /// MPI_Scatter algorithms, mirroring Open MPI's `coll/base`
 /// implementations. The paper validates its methodology on MPI_Bcast
 /// and names the extension to other collectives as the next step
-/// (Sect. 6); this module (with model/ScatterSelection.h) is that
+/// (Sect. 6); this module (with model/CollectiveModels.h) is that
 /// extension: the same implementation-derived modelling and the same
 /// calibration recipe applied to a second collective.
 ///

@@ -1,4 +1,4 @@
-//===- model/AllgatherSelection.h - The method on MPI_Allgather -*- C++ -*-===//
+//===- model/AllgatherSelection.h - Benchmark allgather names ---*- C++ -*-===//
 //
 // Part of the mpicsel project: model-based selection of MPI collective
 // algorithms (reproduction of Nuriyev & Lastovetsky, PaCT 2021).
@@ -6,115 +6,45 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The paper's recipe applied to MPI_Allgather (see coll/Allgather.h).
-/// Implementation-derived models, linear in (alpha, beta):
-///
-///   ring                T = (P-1) * alpha + (P-1) * b * beta
-///                       (P-1 sequential single-block rounds)
-///   recursive_doubling  T = log2(P) * alpha + (P-1) * b * beta
-///                       (log2 P rounds moving 2^k blocks each;
-///                        power-of-two P only, else the ring model --
-///                        the schedule falls back to the ring too)
-///   neighbor_exchange   T = (P/2) * alpha + (P-1) * b * beta
-///                       (one single-block round + P/2 - 1 two-block
-///                        rounds; even P only, else the ring model)
-///
-/// All three move the same (P-1) * b bytes along the critical path
-/// and differ only in round count -- which is exactly why the
-/// selection is a latency-vs-size crossover and why a fixed rule
-/// tuned on one cluster mis-picks on another.
-///
-/// Calibration follows Sect. 4.2: the modelled allgather followed by
-/// a linear gather without synchronisation (root 0), timed on that
-/// root, solved with Huber.
+/// The allgather names perfbench/cpp/PaperWorkloads.cpp calls. Each is
+/// a one-line alias of the generic path (model/CollectiveModels.h)
+/// and goes once the benchmark moves to the generic names.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef MPICSEL_MODEL_ALLGATHERSELECTION_H
 #define MPICSEL_MODEL_ALLGATHERSELECTION_H
 
-#include "cluster/Platform.h"
-#include "coll/Allgather.h"
-#include "model/CostModels.h"
-#include "model/Gamma.h"
-#include "stat/AdaptiveBenchmark.h"
-#include "stat/Regression.h"
-
-#include <array>
-#include <cstdint>
-#include <vector>
+#include "model/DecisionCache.h"
 
 namespace mpicsel {
 
-/// Implementation-derived cost coefficients of an allgather algorithm
-/// (T = A * alpha + B * beta). Inapplicable algorithms (recursive
-/// doubling on non-power-of-two P, neighbor exchange on odd P) return
-/// the ring's coefficients, matching the schedule fallback.
-CostCoefficients allgatherCostCoefficients(AllgatherAlgorithm Alg,
-                                           unsigned NumProcs,
-                                           std::uint64_t BlockBytes,
-                                           const GammaFunction &Gamma);
+// Kept for the benchmark.
+using AllgatherCalibrationOptions = CollectiveOptions<CollectiveOp::Allgather>;
+// Kept for the benchmark.
+using AllgatherModels = CollectiveModels<CollectiveOp::Allgather>;
 
-/// Options of the allgather calibration.
-struct AllgatherCalibrationOptions {
-  /// Processes used in the experiments (0 = half the platform).
-  unsigned NumProcs = 0;
-  /// Per-rank block sizes of the experiments; empty selects 1 KB ..
-  /// 64 KB doubling (the total data volume is P times larger).
-  std::vector<std::uint64_t> BlockSizes;
-  /// Gather block sizes (one per experiment); empty derives a ramp.
-  std::vector<std::uint64_t> GatherSizes;
-  GammaEstimationOptions GammaOptions;
-  AdaptiveOptions Adaptive;
-  bool UseHuber = true;
-};
+// Kept for the benchmark.
+inline AllgatherModels
+calibrateAllgather(const Platform &P, const AllgatherCalibrationOptions &O) {
+  return calibrateCollective<CollectiveOp::Allgather>(P, O);
+}
 
-/// Calibration result of one allgather algorithm.
-struct AllgatherCalibration {
-  AllgatherAlgorithm Algorithm = AllgatherAlgorithm::Ring;
-  double Alpha = 0.0;
-  double Beta = 0.0;
-  LinearFit Fit;
-};
+// Kept for the benchmark.
+inline AdaptiveResult measureAllgather(const Platform &P, unsigned NumProcs,
+                                       const AllgatherConfig &Config,
+                                       const AdaptiveOptions &Options = {}) {
+  return measureCollective<CollectiveOp::Allgather>(P, NumProcs, Config,
+                                                    Options);
+}
 
-/// The calibrated allgather models plus the runtime selector.
-struct AllgatherModels {
-  GammaFunction Gamma;
-  std::array<AllgatherCalibration, NumAllgatherAlgorithms> Algorithms;
-
-  const AllgatherCalibration &of(AllgatherAlgorithm Alg) const {
-    return Algorithms[static_cast<unsigned>(Alg)];
-  }
-
-  /// Predicted allgather time of \p Alg.
-  double predict(AllgatherAlgorithm Alg, unsigned NumProcs,
-                 std::uint64_t BlockBytes) const;
-
-  /// The model-based decision function for MPI_Allgather.
-  AllgatherAlgorithm selectBest(unsigned NumProcs,
-                                std::uint64_t BlockBytes) const;
-};
-
-/// Runs the allgather calibration on \p P.
-AllgatherModels
-calibrateAllgather(const Platform &P,
-                   const AllgatherCalibrationOptions &Options = {});
-
-/// Runs one allgather over ranks 0..NumProcs-1 and returns the
-/// collective's completion time (latest exit over all ranks).
-double runAllgatherOnce(const Platform &P, unsigned NumProcs,
-                        const AllgatherConfig &Config, std::uint64_t Seed);
-
-/// Adaptive wrapper around runAllgatherOnce.
-AdaptiveResult measureAllgather(const Platform &P, unsigned NumProcs,
-                                const AllgatherConfig &Config,
-                                const AdaptiveOptions &Options = {});
-
-/// One calibration experiment: allgather + linear gather without
-/// synchronisation to rank 0, timed on that root.
-double runAllgatherGatherOnce(const Platform &P, unsigned NumProcs,
-                              const AllgatherConfig &Config,
-                              std::uint64_t GatherBytes, std::uint64_t Seed);
+// Kept for the benchmark.
+inline DecisionTable
+buildAllgatherDecisionTable(const AllgatherModels &Models,
+                            std::vector<unsigned> Procs,
+                            std::vector<std::uint64_t> MessageSizes) {
+  return buildDecisionTable(Models, std::move(Procs), std::move(MessageSizes));
+}
 
 } // namespace mpicsel
 

@@ -13,78 +13,29 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <type_traits>
 
 using namespace mpicsel;
 
-double CalibratedModels::predict(BcastAlgorithm Alg, unsigned NumProcs,
-                                 std::uint64_t MessageBytes) const {
-  BcastModelQuery Query;
-  Query.NumProcs = NumProcs;
-  Query.MessageBytes = MessageBytes;
-  // The linear algorithm is never segmented; the others use the
-  // calibrated segment size (the paper fixes 8 KB for all segmented
-  // algorithms).
-  Query.SegmentBytes = Alg == BcastAlgorithm::Linear ? 0 : SegmentBytes;
-  Query.KChainFanout = KChainFanout;
-  CostCoefficients C = bcastCostCoefficients(Alg, Query, Gamma);
-  const AlgorithmCalibration &Params = of(Alg);
-  return C.evaluate(Params.Alpha, Params.Beta);
-}
-
-BcastAlgorithm CalibratedModels::selectBest(unsigned NumProcs,
-                                            std::uint64_t MessageBytes) const {
-  BcastAlgorithm Best = AllBcastAlgorithms.front();
-  double BestTime = predict(Best, NumProcs, MessageBytes);
-  for (BcastAlgorithm Alg : AllBcastAlgorithms) {
-    double Time = predict(Alg, NumProcs, MessageBytes);
-    if (Time < BestTime) {
-      Best = Alg;
-      BestTime = Time;
-    }
-  }
-  return Best;
-}
-
-static std::vector<std::uint64_t> defaultMessageSizes() {
-  // The paper's sweep: 10 sizes, 8 KB .. 4 MB, constant log step.
-  std::vector<std::uint64_t> Sizes;
-  for (std::uint64_t Bytes = 8 * 1024; Bytes <= 4 * 1024 * 1024; Bytes *= 2)
-    Sizes.push_back(Bytes);
-  return Sizes;
-}
-
-static std::vector<std::uint64_t>
-defaultGatherSizes(const std::vector<std::uint64_t> &MessageSizes,
-                   std::uint64_t SegmentBytes) {
-  // Gather block sizes m_g_i proportional to the broadcast sizes
-  // (m_i / 64, clamped): the ramp spreads the canonical x_i of the
-  // Fig. 4 system enough to identify alpha and beta separately, while
-  // the broadcast still dominates every experiment. None may equal
-  // the segment size (the paper requires m_g != m_s).
-  std::vector<std::uint64_t> Sizes;
-  for (std::uint64_t MessageBytes : MessageSizes) {
-    std::uint64_t Bytes =
-        std::clamp<std::uint64_t>(MessageBytes / 64, 1024, 256 * 1024);
-    if (Bytes == SegmentBytes)
-      Bytes += 512;
-    Sizes.push_back(Bytes);
-  }
-  return Sizes;
-}
-
 namespace {
+
+template <CollectiveOp Op> using Desc = CollectiveDescriptor<Op>;
+template <CollectiveOp Op> using Alg = typename Desc<Op>::Algorithm;
 
 /// Measures one calibration experiment, retrying with reseed and a
 /// MaxReps backoff when the quality policy is enabled and the
 /// measurement does not converge. With the policy disabled this is a
 /// single measurement with the historical options -- bit-identical to
 /// the unguarded pass.
-AdaptiveResult measureExperiment(const Platform &Plat, unsigned NumProcs,
-                                 const BcastConfig &Bcast,
-                                 std::uint64_t GatherBytes,
-                                 AdaptiveOptions Adaptive,
-                                 const CalibrationQualityOptions &Quality,
-                                 unsigned &AttemptsOut) {
+template <CollectiveOp Op>
+AdaptiveResult measureWithRetries(const Platform &Plat, unsigned NumProcs,
+                                  const typename Desc<Op>::Config &Config,
+                                  std::uint64_t MessageBytes,
+                                  std::uint64_t GatherBytes,
+                                  AdaptiveOptions Adaptive,
+                                  const CalibrationQualityOptions &Quality,
+                                  unsigned &AttemptsOut) {
+  const std::string What = std::string(collectiveOpName(Op)) + "+gather";
   if (Quality.Enabled) {
     Adaptive.ScreenOutliers = true;
     Adaptive.OutlierMadSigma = Quality.OutlierMadSigma;
@@ -111,12 +62,13 @@ AdaptiveResult measureExperiment(const Platform &Plat, unsigned NumProcs,
         Event.set("attempt", Attempt);
         Event.set("max_reps", Adaptive.MaxReps);
         Event.set("procs", NumProcs);
-        Event.set("message_bytes", Bcast.MessageBytes);
+        Event.set("message_bytes", MessageBytes);
         J.write(Event);
       }
     }
-    AdaptiveResult R =
-        measureBcastGather(Plat, NumProcs, Bcast, GatherBytes, Adaptive);
+    AdaptiveResult R = measureExperiment(
+        Plat, Desc<Op>::experiment(Plat, NumProcs, Config, GatherBytes),
+        What.c_str(), Adaptive);
     AttemptsOut = Attempt + 1;
     obs::bump(obs::Counter::CalibExperiments);
     obs::bump(obs::Counter::CalibOutliers, R.OutliersRejected);
@@ -149,7 +101,8 @@ void addGate(AlgorithmCalibrationReport &Rep, const char *Gate, bool Passed,
 
 /// Evaluates the per-algorithm quality gates against the canonical
 /// fit and the experiment records.
-void evaluateGates(const AlgorithmCalibration &Calib,
+template <typename CalibT>
+void evaluateGates(const CalibT &Calib,
                    AlgorithmCalibrationReport &Rep,
                    const CalibrationQualityOptions &Quality) {
   if (!Calib.Fit.Valid) {
@@ -225,6 +178,7 @@ struct CalibrationGrid {
   std::vector<std::uint64_t> GatherSizes;
 };
 
+template <CollectiveOp Op>
 CalibrationGrid resolveCalibrationGrid(const Platform &Plat,
                                        const CalibrationOptions &Options) {
   CalibrationGrid Grid;
@@ -235,11 +189,12 @@ CalibrationGrid resolveCalibrationGrid(const Platform &Plat,
     fatalError("calibration requests more processes than the platform hosts");
   Grid.MessageSizes = Options.MessageSizes;
   if (Grid.MessageSizes.empty())
-    Grid.MessageSizes = defaultMessageSizes();
+    Grid.MessageSizes = Desc<Op>::defaultSizes();
   Grid.GatherSizes = Options.GatherSizes;
   if (Grid.GatherSizes.empty())
-    Grid.GatherSizes =
-        defaultGatherSizes(Grid.MessageSizes, Options.SegmentBytes);
+    for (std::uint64_t Bytes : Grid.MessageSizes)
+      Grid.GatherSizes.push_back(
+          Desc<Op>::defaultGather(Bytes, Options.SegmentBytes));
   if (Grid.GatherSizes.size() != Grid.MessageSizes.size())
     fatalError("calibration needs one gather size per message size");
   return Grid;
@@ -251,33 +206,38 @@ struct ExperimentOutcome {
   ExperimentRecord Record;
 };
 
+/// The model query of the (Alg, I) experiment of \p Grid.
+template <CollectiveOp Op>
+BcastModelQuery pointQuery(const CalibrationGrid &Grid,
+                           const CalibrationOptions &Options, Alg<Op> A,
+                           std::size_t I) {
+  return {Grid.NumProcs, Grid.MessageSizes[I],
+          Desc<Op>::segmented(A) ? Options.SegmentBytes : 0,
+          Options.KChainFanout};
+}
+
 /// Runs the (Alg, I) stage-2 experiment of \p Grid. The seed derives
 /// from the grid position off \p BaseAdaptive, so any sweep order --
 /// and the single-algorithm repair pass -- reproduces the full pass's
 /// measurement stream bit for bit.
+template <CollectiveOp Op>
 ExperimentOutcome runCalibrationPoint(const Platform &Plat,
                                       const CalibrationGrid &Grid,
                                       const CalibrationOptions &Options,
                                       const AdaptiveOptions &BaseAdaptive,
-                                      BcastAlgorithm Alg, std::size_t I) {
-  BcastConfig Bcast;
-  Bcast.Algorithm = Alg;
-  Bcast.MessageBytes = Grid.MessageSizes[I];
-  Bcast.SegmentBytes =
-      Alg == BcastAlgorithm::Linear ? 0 : Options.SegmentBytes;
-  Bcast.Root = 0;
-  Bcast.KChainFanout = Options.KChainFanout;
-
+                                      Alg<Op> A, std::size_t I) {
   AdaptiveOptions Adaptive = BaseAdaptive;
   Adaptive.BaseSeed = BaseAdaptive.BaseSeed +
-                      0x100000ull * static_cast<unsigned>(Alg) +
+                      Desc<Op>::SeedStride * static_cast<unsigned>(A) +
                       0x100ull * I;
   ExperimentOutcome Outcome;
   Outcome.Record.MessageBytes = Grid.MessageSizes[I];
   Outcome.Record.GatherBytes = Grid.GatherSizes[I];
-  Outcome.Result =
-      measureExperiment(Plat, Grid.NumProcs, Bcast, Grid.GatherSizes[I],
-                        Adaptive, Options.Quality, Outcome.Record.Attempts);
+  Outcome.Result = measureWithRetries<Op>(
+      Plat, Grid.NumProcs,
+      Desc<Op>::config(A, pointQuery<Op>(Grid, Options, A, I)),
+      Grid.MessageSizes[I], Grid.GatherSizes[I], Adaptive, Options.Quality,
+      Outcome.Record.Attempts);
   Outcome.Record.OutliersRejected = Outcome.Result.OutliersRejected;
   Outcome.Record.Converged = Outcome.Result.Converged;
   Outcome.Record.Precision = Outcome.Result.Stats.relativePrecision();
@@ -288,30 +248,23 @@ ExperimentOutcome runCalibrationPoint(const Platform &Plat,
 /// Assembles one algorithm's canonical system from its \p Outcomes
 /// (one per grid size, in grid order), fits it, applies the
 /// physical clamps and -- when enabled -- the quality gates.
+template <CollectiveOp Op>
 void assembleAlgorithm(const CalibrationGrid &Grid,
                        const CalibrationOptions &Options,
-                       const GammaFunction &Gamma, BcastAlgorithm Alg,
+                       const GammaFunction &Gamma, Alg<Op> A,
                        const ExperimentOutcome *Outcomes,
-                       AlgorithmCalibration &Calib,
+                       AlgorithmFit<Alg<Op>> &Calib,
                        AlgorithmCalibrationReport &Rep) {
-  Calib.Algorithm = Alg;
-  Rep.Algorithm = Alg;
+  Calib.Algorithm = A;
   for (std::size_t I = 0; I != Grid.MessageSizes.size(); ++I) {
     const ExperimentOutcome &Outcome = Outcomes[I];
     Rep.Experiments.push_back(Outcome.Record);
 
     // Canonical form of Fig. 4: T / (A_tot) = alpha + beta * (B_tot
     // / A_tot).
-    BcastModelQuery Query;
-    Query.NumProcs = Grid.NumProcs;
-    Query.MessageBytes = Grid.MessageSizes[I];
-    Query.SegmentBytes =
-        Alg == BcastAlgorithm::Linear ? 0 : Options.SegmentBytes;
-    Query.KChainFanout = Options.KChainFanout;
-    CostCoefficients BcastCost = bcastCostCoefficients(Alg, Query, Gamma);
-    CostCoefficients GatherCost =
+    CostCoefficients Total =
+        Desc<Op>::cost(A, pointQuery<Op>(Grid, Options, A, I), Gamma) +
         linearGatherCostCoefficients(Grid.NumProcs, Grid.GatherSizes[I]);
-    CostCoefficients Total = BcastCost + GatherCost;
     assert(Total.A > 0 && "degenerate experiment coefficients");
     Calib.CanonicalX.push_back(Total.B / Total.A);
     Calib.CanonicalT.push_back(Outcome.Result.Stats.Mean / Total.A);
@@ -321,8 +274,11 @@ void assembleAlgorithm(const CalibrationGrid &Grid,
                   ? fitHuber(Calib.CanonicalX, Calib.CanonicalT)
                   : fitLeastSquares(Calib.CanonicalX, Calib.CanonicalT);
   if (!Calib.Fit.Valid && !Options.Quality.Enabled)
-    fatalError("alpha/beta regression degenerate for algorithm " +
-               std::string(bcastAlgorithmName(Alg)));
+    fatalError(strFormat("%s alpha/beta regression degenerate for "
+                         "algorithm %s",
+                         collectiveOpName(Op),
+                         collectiveAlgorithmName(
+                             Op, static_cast<unsigned>(A))));
   // Physically, both parameters are non-negative; tiny negative
   // intercepts are regression noise (the paper's alphas are
   // O(1e-12)).
@@ -332,7 +288,107 @@ void assembleAlgorithm(const CalibrationGrid &Grid,
     evaluateGates(Calib, Rep, Options.Quality);
 }
 
+/// The calibration of \p Op under the resolved plan \p Options:
+/// gamma (Sect. 4.1), then one canonical system per algorithm
+/// (Sect. 4.2). \p Reports, when given, receives one record per
+/// algorithm.
+template <CollectiveOp Op>
+CollectiveModels<Op> calibrateModels(const Platform &Plat,
+                                     const CalibrationOptions &Options,
+                                     AlgorithmCalibrationReport *Reports) {
+  obs::PhaseSpan CalibSpan(obs::Phase::Calibration, Plat.Name);
+  CollectiveModels<Op> Models;
+  Models.SegmentBytes = Options.SegmentBytes;
+  Models.KChainFanout = Options.KChainFanout;
+
+  const CalibrationGrid Grid = resolveCalibrationGrid<Op>(Plat, Options);
+  const unsigned Threads = resolveSweepThreads(Options.Threads);
+
+  // Stage 1 (Sect. 4.1): gamma, measured far enough for every gamma
+  // argument the models can ask for.
+  GammaEstimationOptions GammaOpts = Options.GammaOptions;
+  GammaOpts.MaxP = std::max(
+      GammaOpts.MaxP, maxGammaArgument(Plat.maxProcs(),
+                                       Desc<Op>::gammaFanout(
+                                           Options.KChainFanout)));
+  GammaOpts.MaxP = std::min(GammaOpts.MaxP, Plat.maxProcs());
+  GammaOpts.SegmentBytes = Options.SegmentBytes;
+  if (Options.Quality.Enabled) {
+    GammaOpts.Adaptive.ScreenOutliers = true;
+    GammaOpts.Adaptive.OutlierMadSigma = Options.Quality.OutlierMadSigma;
+  }
+  {
+    obs::PhaseSpan GammaSpan(obs::Phase::GammaFit);
+    Models.Gamma = estimateGamma(Plat, GammaOpts).Gamma;
+  }
+
+  // Stage 2 (Sect. 4.2): one linear system per algorithm. The
+  // (algorithm x message-size) experiments are mutually independent
+  // and each derives its seed from its grid position, so they fan
+  // across the sweep pool; the canonical systems are then assembled
+  // serially in grid order, making the results bit-identical to the
+  // historical nested loop for any thread count.
+  const auto &Algorithms = Desc<Op>::Algorithms;
+  const std::size_t NumSizes = Grid.MessageSizes.size();
+  std::vector<ExperimentOutcome> Outcomes = sweepIndexed<ExperimentOutcome>(
+      Threads, Algorithms.size() * NumSizes, [&](std::size_t Task) {
+        return runCalibrationPoint<Op>(Plat, Grid, Options, Options.Adaptive,
+                                       Algorithms[Task / NumSizes],
+                                       Task % NumSizes);
+      });
+  for (std::size_t Index = 0; Index != Algorithms.size(); ++Index) {
+    AlgorithmCalibrationReport Rep;
+    assembleAlgorithm<Op>(Grid, Options, Models.Gamma, Algorithms[Index],
+                          Outcomes.data() + Index * NumSizes,
+                          Models.Algorithms[Index], Rep);
+    if (Reports)
+      Reports[Index] = std::move(Rep);
+  }
+  return Models;
+}
+
+/// The plan of an op without a quality policy or a threaded sweep.
+template <typename OptionsT>
+CalibrationOptions calibrationPlan(const OptionsT &O) {
+  CalibrationOptions Plan;
+  Plan.NumProcs = O.NumProcs;
+  Plan.GammaOptions = O.GammaOptions;
+  Plan.Adaptive = O.Adaptive;
+  Plan.UseHuber = O.UseHuber;
+  Plan.Threads = 1;
+  if constexpr (std::is_same_v<OptionsT, BlockCalibrationOptions>) {
+    // No block algorithm is segmented: keep the gamma stage's own size.
+    Plan.SegmentBytes = O.GammaOptions.SegmentBytes;
+    Plan.MessageSizes = O.BlockSizes;
+    Plan.GatherSizes = O.GatherSizes;
+  } else {
+    Plan.SegmentBytes = O.SegmentBytes;
+    Plan.MessageSizes = O.MessageSizes;
+  }
+  return Plan;
+}
+
 } // namespace
+
+template <CollectiveOp Op>
+CollectiveModels<Op>
+mpicsel::calibrateCollective(const Platform &Plat,
+                             const CollectiveOptions<Op> &Options) {
+  return calibrateModels<Op>(Plat, calibrationPlan(Options), nullptr);
+}
+
+template CollectiveModels<CollectiveOp::Scatter>
+mpicsel::calibrateCollective<CollectiveOp::Scatter>(
+    const Platform &, const BlockCalibrationOptions &);
+template CollectiveModels<CollectiveOp::Reduce>
+mpicsel::calibrateCollective<CollectiveOp::Reduce>(
+    const Platform &, const VectorCalibrationOptions &);
+template CollectiveModels<CollectiveOp::Allgather>
+mpicsel::calibrateCollective<CollectiveOp::Allgather>(
+    const Platform &, const BlockCalibrationOptions &);
+template CollectiveModels<CollectiveOp::Allreduce>
+mpicsel::calibrateCollective<CollectiveOp::Allreduce>(
+    const Platform &, const VectorCalibrationOptions &);
 
 std::string CalibrationReport::str() const {
   std::string Out;
@@ -352,58 +408,16 @@ std::string CalibrationReport::str() const {
 CalibratedModels mpicsel::calibrate(const Platform &Plat,
                                     const CalibrationOptions &Options,
                                     CalibrationReport *Report) {
-  obs::PhaseSpan CalibSpan(obs::Phase::Calibration, Plat.Name);
-  CalibratedModels Models;
-  Models.SegmentBytes = Options.SegmentBytes;
-  Models.KChainFanout = Options.KChainFanout;
-
-  const CalibrationGrid Grid = resolveCalibrationGrid(Plat, Options);
-
-  // Resolve the sweep parallelism once; both stages fan their
-  // independent experiments over it with bit-identical results.
-  const unsigned Threads = resolveSweepThreads(Options.Threads);
-
-  // Stage 1 (Sect. 4.1): gamma, measured far enough for every gamma
-  // argument the models can ask for.
-  GammaEstimationOptions GammaOpts = Options.GammaOptions;
-  GammaOpts.Threads = Threads;
-  GammaOpts.MaxP = std::max(
-      GammaOpts.MaxP,
-      maxGammaArgument(Plat.maxProcs(), Options.KChainFanout));
-  GammaOpts.MaxP = std::min(GammaOpts.MaxP, Plat.maxProcs());
-  GammaOpts.SegmentBytes = Options.SegmentBytes;
-  if (Options.Quality.Enabled) {
-    GammaOpts.Adaptive.ScreenOutliers = true;
-    GammaOpts.Adaptive.OutlierMadSigma = Options.Quality.OutlierMadSigma;
-  }
-  {
-    obs::PhaseSpan GammaSpan(obs::Phase::GammaFit);
-    Models.Gamma = estimateGamma(Plat, GammaOpts).Gamma;
-  }
-
-  // Stage 2 (Sect. 4.2): one linear system per algorithm. The
-  // (algorithm x message-size) experiments are mutually independent
-  // and each derives its seed from its grid position, so they fan
-  // across the sweep pool; the canonical systems are then assembled
-  // serially in grid order, making the results bit-identical to the
-  // historical nested loop for any thread count.
+  // Both stages fan their independent experiments over one resolved
+  // thread count, with bit-identical results.
+  CalibrationOptions Plan = Options;
+  Plan.Threads = resolveSweepThreads(Options.Threads);
+  Plan.GammaOptions.Threads = Plan.Threads;
   CalibrationReport LocalReport;
-  const std::size_t NumSizes = Grid.MessageSizes.size();
-  std::vector<ExperimentOutcome> Outcomes =
-      sweepIndexed<ExperimentOutcome>(
-          Threads, AllBcastAlgorithms.size() * NumSizes,
-          [&](std::size_t Task) {
-            return runCalibrationPoint(Plat, Grid, Options, Options.Adaptive,
-                                       AllBcastAlgorithms[Task / NumSizes],
-                                       Task % NumSizes);
-          });
-
-  for (BcastAlgorithm Alg : AllBcastAlgorithms) {
-    assembleAlgorithm(Grid, Options, Models.Gamma, Alg,
-                      Outcomes.data() + static_cast<unsigned>(Alg) * NumSizes,
-                      Models.Algorithms[static_cast<unsigned>(Alg)],
-                      LocalReport.Algorithms[static_cast<unsigned>(Alg)]);
-  }
+  CalibratedModels Models = calibrateModels<CollectiveOp::Bcast>(
+      Plat, Plan, LocalReport.Algorithms.data());
+  for (BcastAlgorithm Alg : AllBcastAlgorithms)
+    LocalReport.Algorithms[static_cast<unsigned>(Alg)].Algorithm = Alg;
   if (Report)
     *Report = std::move(LocalReport);
   return Models;
@@ -413,7 +427,8 @@ AlgorithmCalibration mpicsel::calibrateSingleAlgorithm(
     const Platform &Plat, const CalibrationOptions &Options,
     const GammaFunction &Gamma, BcastAlgorithm Alg, unsigned Attempt,
     AlgorithmCalibrationReport *Report) {
-  const CalibrationGrid Grid = resolveCalibrationGrid(Plat, Options);
+  constexpr CollectiveOp Bcast = CollectiveOp::Bcast;
+  const CalibrationGrid Grid = resolveCalibrationGrid<Bcast>(Plat, Options);
   const unsigned Threads = resolveSweepThreads(Options.Threads);
 
   // Attempt 0 replays the full pass's exact measurement stream for
@@ -432,12 +447,14 @@ AlgorithmCalibration mpicsel::calibrateSingleAlgorithm(
 
   std::vector<ExperimentOutcome> Outcomes = sweepIndexed<ExperimentOutcome>(
       Threads, Grid.MessageSizes.size(), [&](std::size_t I) {
-        return runCalibrationPoint(Plat, Grid, Options, Base, Alg, I);
+        return runCalibrationPoint<Bcast>(Plat, Grid, Options, Base, Alg, I);
       });
 
   AlgorithmCalibration Calib;
   AlgorithmCalibrationReport Rep;
-  assembleAlgorithm(Grid, Options, Gamma, Alg, Outcomes.data(), Calib, Rep);
+  Rep.Algorithm = Alg;
+  assembleAlgorithm<Bcast>(Grid, Options, Gamma, Alg, Outcomes.data(), Calib,
+                           Rep);
   if (Report)
     *Report = std::move(Rep);
   return Calib;

@@ -10,17 +10,22 @@
 /// *separately for each collective algorithm*, from communication
 /// experiments in which the modelled algorithm itself dominates.
 ///
-/// Experiment (one per message size m_i): the modelled broadcast of
+/// Experiment (one per message size m_i): the modelled collective of
 /// m_i over P ranks, immediately followed by a linear gather without
 /// synchronisation of m_g_i per rank, timed on the root. Its model is
 ///
 ///   T_i = (A_i + P - 1) * alpha + (B_i + (P-1) * m_g_i) * beta,
 ///
-/// where (A_i, B_i) are the broadcast's implementation-derived cost
+/// where (A_i, B_i) are the collective's implementation-derived cost
 /// coefficients. Dividing by (A_i + P - 1) puts every equation in the
 /// canonical form `alpha + beta * x_i = t_i` of the paper's Fig. 4;
-/// the stacked system over the 10 message sizes is solved with the
+/// the stacked system over the message sizes is solved with the
 /// Huber regressor [25].
+///
+/// One loop runs this for every collective (model/CollectiveModels.h).
+/// The broadcast adds what only it has: quality gates and retries, the
+/// CalibrationReport, a threaded sweep and the single-algorithm repair
+/// of the drift sentinel.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,10 +34,7 @@
 
 #include "cluster/Platform.h"
 #include "coll/Algorithms.h"
-#include "model/CostModels.h"
-#include "model/Gamma.h"
-#include "stat/AdaptiveBenchmark.h"
-#include "stat/Regression.h"
+#include "model/CollectiveModels.h"
 
 #include <array>
 #include <cstdint>
@@ -40,84 +42,6 @@
 #include <vector>
 
 namespace mpicsel {
-
-/// Robustness policy of the calibration pass: per-experiment outlier
-/// screening and retries, plus per-algorithm quality gates on the
-/// canonical fit. Disabled by default -- the plain pass assumes every
-/// experiment succeeds, exactly as before; the robustness pipeline
-/// (bench/robustness_faults, model/RobustSelector) enables it to
-/// survive contaminated measurements.
-struct CalibrationQualityOptions {
-  /// Master switch: off reproduces the unguarded pass bit for bit.
-  bool Enabled = false;
-  /// Extra attempts per experiment when the adaptive measurement does
-  /// not converge; each retry reseeds and grows MaxReps by
-  /// BackoffGrowth (measure-again-with-backoff).
-  unsigned MaxRetriesPerExperiment = 2;
-  /// MaxReps multiplier applied on every retry.
-  double BackoffGrowth = 2.0;
-  /// MAD screen threshold handed to AdaptiveOptions (robust sigmas).
-  double OutlierMadSigma = 3.5;
-  /// Gate: minimum R^2 of the canonical fit.
-  double MinR2 = 0.9;
-  /// Gate: maximum Rmse of the canonical fit relative to the median
-  /// canonical time.
-  double MaxRelativeRmse = 0.25;
-  /// Gate: alpha (the fitted intercept, seconds) must lie in
-  /// [-AlphaSlack * median(t), MaxAlpha]. Strongly negative intercepts
-  /// mean the fit is extrapolating garbage, not measurement noise.
-  double MaxAlpha = 1.0;
-  double AlphaSlack = 0.25;
-  /// Gate: beta (the fitted slope, seconds/byte in canonical units)
-  /// must not exceed MaxBeta. A negative slope is tolerated (the
-  /// calibrated Beta clamps it to zero) unless the fitted line
-  /// collapses inside the calibrated range: the prediction at the
-  /// largest observed x must stay >= BetaSlack * median(t).
-  double MaxBeta = 1e-3;
-  double BetaSlack = 0.25;
-  /// Gate: at least this fraction of the algorithm's experiments must
-  /// have converged (after retries).
-  double MinConvergedFraction = 0.7;
-};
-
-/// Options of the full calibration pass.
-struct CalibrationOptions {
-  /// Processes used in the alpha/beta experiments. 0 selects the
-  /// paper's choice: roughly half the platform's ranks (the paper
-  /// used 40 of 90 on Grisou and all 124 on Gros; it reports that
-  /// using more nodes does not change the estimates).
-  unsigned NumProcs = 0;
-  /// Segment size of the segmented algorithms (the paper's 8 KB).
-  std::uint64_t SegmentBytes = 8 * 1024;
-  /// K of the K-chain algorithm.
-  unsigned KChainFanout = 4;
-  /// Broadcast message sizes of the experiments; empty selects the
-  /// paper's sweep: 10 sizes from 8 KB to 4 MB, constant step in log
-  /// scale (i.e. doubling).
-  std::vector<std::uint64_t> MessageSizes;
-  /// Gather block sizes m_g_i (must differ from the segment size);
-  /// empty derives a default ramp 4 KB, 6 KB, ... distinct from m_s.
-  std::vector<std::uint64_t> GatherSizes;
-  /// Options of the gamma estimation stage; MaxP is raised
-  /// automatically to cover every gamma argument the models need.
-  GammaEstimationOptions GammaOptions;
-  /// Statistical stopping rules of each timing.
-  AdaptiveOptions Adaptive;
-  /// Solve the canonical system with Huber (paper) or plain OLS
-  /// (ablation).
-  bool UseHuber = true;
-  /// Robustness policy (screening, retries, quality gates).
-  CalibrationQualityOptions Quality;
-  /// Worker threads of the calibration sweeps. 0 (the default)
-  /// consults the MPICSEL_THREADS environment variable, which itself
-  /// defaults to 1 -- i.e. the historical serial pass. Any thread
-  /// count produces bit-identical results: every experiment derives
-  /// its seed from its grid position and the per-algorithm systems
-  /// are assembled in serial order (stat/ParallelSweep.h). The thread
-  /// count is deliberately excluded from the DecisionCache content
-  /// hash for the same reason.
-  unsigned Threads = 0;
-};
 
 /// What happened to one calibration experiment (one message size of
 /// one algorithm): every retry, rejection and the final verdict.
@@ -187,45 +111,16 @@ struct CalibrationReport {
   std::string str() const;
 };
 
-/// Calibration result for one algorithm.
-struct AlgorithmCalibration {
-  BcastAlgorithm Algorithm = BcastAlgorithm::Linear;
-  /// The algorithm-specific Hockney parameters (paper Table 2).
-  double Alpha = 0.0;
-  double Beta = 0.0;
-  /// The canonical-form regression (x_i, t_i) actually solved --
-  /// exposed for tests, benches and the EXPERIMENTS.md write-up.
-  std::vector<double> CanonicalX;
-  std::vector<double> CanonicalT;
-  LinearFit Fit;
-};
+/// Calibration result for one broadcast algorithm.
+using AlgorithmCalibration = AlgorithmFit<BcastAlgorithm>;
 
-/// Everything the runtime selection needs: gamma plus per-algorithm
-/// (alpha, beta).
-struct CalibratedModels {
-  GammaFunction Gamma;
-  std::array<AlgorithmCalibration, NumBcastAlgorithms> Algorithms;
-  std::uint64_t SegmentBytes = 8 * 1024;
-  unsigned KChainFanout = 4;
+/// The calibrated broadcast models. The name is kept for
+/// perfbench/cpp/PaperWorkloads.cpp.
+using CalibratedModels = CollectiveModels<CollectiveOp::Bcast>;
 
-  const AlgorithmCalibration &of(BcastAlgorithm Alg) const {
-    return Algorithms[static_cast<unsigned>(Alg)];
-  }
-
-  /// Predicted broadcast time of \p Alg for \p NumProcs ranks and
-  /// \p MessageBytes, at the calibrated segment size.
-  double predict(BcastAlgorithm Alg, unsigned NumProcs,
-                 std::uint64_t MessageBytes) const;
-
-  /// The model-based decision function: argmin of predict over the
-  /// six algorithms. This is the paper's runtime selection -- two
-  /// multiply-adds per algorithm, no search.
-  BcastAlgorithm selectBest(unsigned NumProcs,
-                            std::uint64_t MessageBytes) const;
-};
-
-/// Runs the full calibration (gamma, then per-algorithm alpha/beta)
-/// on \p P. This is the offline stage of the paper's method; its cost
+/// Runs the full broadcast calibration (gamma, then per-algorithm
+/// alpha/beta) on \p P; perfbench/cpp/PaperWorkloads.cpp calls it by
+/// name. This is the offline stage of the paper's method; its cost
 /// is independent of the application.
 ///
 /// With Options.Quality.Enabled the per-experiment measurements are

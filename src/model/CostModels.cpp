@@ -172,6 +172,165 @@ mpicsel::bcastCostCoefficients(BcastAlgorithm Alg, const BcastModelQuery &Q,
   MPICSEL_UNREACHABLE("unknown broadcast algorithm");
 }
 
+CostCoefficients
+mpicsel::scatterCostCoefficients(ScatterAlgorithm Alg, unsigned NumProcs,
+                                 std::uint64_t BlockBytes,
+                                 const GammaFunction &Gamma) {
+  assert(NumProcs >= 1 && "empty communicator");
+  if (NumProcs == 1)
+    return {0.0, 0.0};
+
+  switch (Alg) {
+  case ScatterAlgorithm::Linear: {
+    // P-1 concurrent non-blocking sends of one block: the linear-
+    // broadcast structure, so the same gamma-weighted point-to-point.
+    double G = Gamma(NumProcs);
+    return {G, G * static_cast<double>(BlockBytes)};
+  }
+  case ScatterAlgorithm::Binomial: {
+    // Critical path of the binomial scatter: the chain of largest
+    // children. Each hop transfers the receiving child's whole
+    // subtree bundle; Open MPI serves the largest child first, so
+    // the path is not delayed by the sender's other sends.
+    Tree T = buildBinomialTree(NumProcs, 0);
+    double A = 0.0, B = 0.0;
+    unsigned Cursor = 0;
+    while (!T.Children[Cursor].empty()) {
+      unsigned Largest = T.Children[Cursor].front();
+      unsigned LargestSize = T.subtreeSize(Largest);
+      for (unsigned Child : T.Children[Cursor]) {
+        unsigned Size = T.subtreeSize(Child);
+        if (Size > LargestSize) {
+          Largest = Child;
+          LargestSize = Size;
+        }
+      }
+      A += 1.0;
+      B += static_cast<double>(LargestSize) *
+           static_cast<double>(BlockBytes);
+      Cursor = Largest;
+    }
+    return {A, B};
+  }
+  }
+  MPICSEL_UNREACHABLE("unknown scatter algorithm");
+}
+
+CostCoefficients
+mpicsel::reduceCostCoefficients(ReduceAlgorithm Alg, unsigned NumProcs,
+                                std::uint64_t MessageBytes,
+                                std::uint64_t SegmentBytes,
+                                const GammaFunction &Gamma) {
+  assert(NumProcs >= 1 && "empty communicator");
+  if (NumProcs == 1)
+    return {0.0, 0.0};
+
+  switch (Alg) {
+  case ReduceAlgorithm::Linear: {
+    // Incast of P-1 full vectors into the root (Eq. 8's structure);
+    // the serial combines ride on beta.
+    double Count = static_cast<double>(NumProcs - 1);
+    return {Count, Count * static_cast<double>(MessageBytes)};
+  }
+  case ReduceAlgorithm::Chain: {
+    // The pipeline reversed: same fill + stream arithmetic as the
+    // chain broadcast.
+    BcastModelQuery Query;
+    Query.NumProcs = NumProcs;
+    Query.MessageBytes = MessageBytes;
+    Query.SegmentBytes = SegmentBytes;
+    return bcastCostCoefficients(BcastAlgorithm::Chain, Query, Gamma);
+  }
+  case ReduceAlgorithm::Binomial: {
+    // The binomial broadcast mirrored: stage k of the reduction is
+    // stage H-k of the broadcast, so Eq. 6 carries over unchanged
+    // (the gamma factors now describe the serialisation of receives
+    // and combines at a multi-child parent instead of sends).
+    BcastModelQuery Query;
+    Query.NumProcs = NumProcs;
+    Query.MessageBytes = MessageBytes;
+    Query.SegmentBytes = SegmentBytes;
+    return bcastCostCoefficients(BcastAlgorithm::Binomial, Query, Gamma);
+  }
+  }
+  MPICSEL_UNREACHABLE("unknown reduce algorithm");
+}
+
+CostCoefficients
+mpicsel::allgatherCostCoefficients(AllgatherAlgorithm Alg, unsigned NumProcs,
+                                   std::uint64_t BlockBytes,
+                                   const GammaFunction &Gamma) {
+  assert(NumProcs >= 1 && "empty communicator");
+  (void)Gamma; // All three algorithms are single-peer per round.
+  if (NumProcs == 1)
+    return {0.0, 0.0};
+  if (!allgatherAlgorithmApplies(Alg, NumProcs))
+    Alg = AllgatherAlgorithm::Ring;
+
+  // Every algorithm streams (P-1) blocks along its critical path;
+  // only the round count differs.
+  const double TotalBytes = static_cast<double>(NumProcs - 1) *
+                            static_cast<double>(BlockBytes);
+  switch (Alg) {
+  case AllgatherAlgorithm::Ring:
+    return {static_cast<double>(NumProcs - 1), TotalBytes};
+  case AllgatherAlgorithm::RecursiveDoubling: {
+    double Rounds = 0.0;
+    for (unsigned Distance = 1; Distance < NumProcs; Distance <<= 1)
+      Rounds += 1.0;
+    return {Rounds, TotalBytes};
+  }
+  case AllgatherAlgorithm::NeighborExchange:
+    return {static_cast<double>(NumProcs / 2), TotalBytes};
+  }
+  MPICSEL_UNREACHABLE("unknown allgather algorithm");
+}
+
+CostCoefficients
+mpicsel::allreduceCostCoefficients(AllreduceAlgorithm Alg, unsigned NumProcs,
+                                   std::uint64_t MessageBytes,
+                                   std::uint64_t SegmentBytes,
+                                   const GammaFunction &Gamma) {
+  assert(NumProcs >= 1 && "empty communicator");
+  if (NumProcs == 1)
+    return {0.0, 0.0};
+
+  switch (Alg) {
+  case AllreduceAlgorithm::RecursiveDoubling: {
+    // H full-vector exchange+combine rounds; a non-power-of-two
+    // communicator adds the pre/post fold -- two more full-vector
+    // hops on the folded ranks' critical path.
+    double Rounds = 0.0;
+    unsigned PowP = 1;
+    while (2 * PowP <= NumProcs) {
+      PowP *= 2;
+      Rounds += 1.0;
+    }
+    if (PowP != NumProcs)
+      Rounds += 2.0;
+    return {Rounds, Rounds * static_cast<double>(MessageBytes)};
+  }
+  case AllreduceAlgorithm::Ring: {
+    // 2(P-1) rounds of ~m/P blocks: reduce-scatter then allgather.
+    double Rounds = 2.0 * static_cast<double>(NumProcs - 1);
+    return {Rounds, Rounds * static_cast<double>(MessageBytes) /
+                        static_cast<double>(NumProcs)};
+  }
+  case AllreduceAlgorithm::ReduceBcast: {
+    // The phases are serial (the broadcast's root send waits for the
+    // reduction's last combine), so the coefficients add.
+    BcastModelQuery Query;
+    Query.NumProcs = NumProcs;
+    Query.MessageBytes = MessageBytes;
+    Query.SegmentBytes = SegmentBytes;
+    return reduceCostCoefficients(ReduceAlgorithm::Binomial, NumProcs,
+                                  MessageBytes, SegmentBytes, Gamma) +
+           bcastCostCoefficients(BcastAlgorithm::Binomial, Query, Gamma);
+  }
+  }
+  MPICSEL_UNREACHABLE("unknown allreduce algorithm");
+}
+
 unsigned mpicsel::maxGammaArgument(unsigned MaxProcs, unsigned KChainFanout) {
   // linear evaluates gamma(P) itself only for the *unsegmented* flat
   // broadcast; the segmented models evaluate gamma at small

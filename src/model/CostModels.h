@@ -45,12 +45,41 @@
 /// re-derived closed forms -- the models describe the code, and the
 /// code is right there.
 ///
+/// The same construction carries over to the other collectives the
+/// paper's Sect. 6 names (m_b = per-rank block, b for allgather):
+///
+///   scatter   linear      A = gamma(P)                B = A * m_b
+///                         (the linear broadcast's serialisation)
+///             binomial    A = tree height             B = bytes of the
+///                         subtree bundles along the largest-child path
+///   reduce    linear      A = P - 1                   B = A * m
+///                         (Eq. 8's incast; combines ride on beta)
+///             chain,      the chain / binomial broadcast models: the
+///             binomial    reduction is the broadcast's mirror image
+///   allgather ring        A = P - 1                   B = (P-1) * b
+///             rec. doubl. A = ceil(log2 P)            B = (P-1) * b
+///             neighbor    A = P / 2                   B = (P-1) * b
+///                         (inapplicable P falls back to the ring)
+///   allreduce rec. doubl. A = log2 P (+2 for the non-power-of-two
+///                         fold)                       B = A * m
+///             ring        A = 2(P-1)                  B = A * m / P
+///             reduce_bcast  binomial reduce + binomial bcast
+///
+/// No combine-arithmetic parameter appears: each algorithm's
+/// calibrated beta absorbs its compute per byte along the critical
+/// path (the paper's Table 2 observation that the parameters capture
+/// more than the network).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef MPICSEL_MODEL_COSTMODELS_H
 #define MPICSEL_MODEL_COSTMODELS_H
 
 #include "coll/Algorithms.h"
+#include "coll/Allgather.h"
+#include "coll/Allreduce.h"
+#include "coll/Reduce.h"
+#include "coll/Scatter.h"
 #include "model/Gamma.h"
 
 #include <cstdint>
@@ -87,6 +116,28 @@ struct BcastModelQuery {
 CostCoefficients bcastCostCoefficients(BcastAlgorithm Alg,
                                        const BcastModelQuery &Query,
                                        const GammaFunction &Gamma);
+
+/// Cost coefficients of the other collectives' algorithms (see the
+/// file comment). \p SegmentBytes applies to the segmented reduces and
+/// to the reduce+bcast allreduce only.
+CostCoefficients scatterCostCoefficients(ScatterAlgorithm Alg,
+                                         unsigned NumProcs,
+                                         std::uint64_t BlockBytes,
+                                         const GammaFunction &Gamma);
+CostCoefficients reduceCostCoefficients(ReduceAlgorithm Alg,
+                                        unsigned NumProcs,
+                                        std::uint64_t MessageBytes,
+                                        std::uint64_t SegmentBytes,
+                                        const GammaFunction &Gamma);
+CostCoefficients allgatherCostCoefficients(AllgatherAlgorithm Alg,
+                                           unsigned NumProcs,
+                                           std::uint64_t BlockBytes,
+                                           const GammaFunction &Gamma);
+CostCoefficients allreduceCostCoefficients(AllreduceAlgorithm Alg,
+                                           unsigned NumProcs,
+                                           std::uint64_t MessageBytes,
+                                           std::uint64_t SegmentBytes,
+                                           const GammaFunction &Gamma);
 
 /// The Eq. 8 model of the linear gather without synchronisation:
 /// T = (P-1) * (alpha + m_g * beta).

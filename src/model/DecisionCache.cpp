@@ -4,8 +4,6 @@
 
 #include "audit/Audit.h"
 #include "fault/Fault.h"
-#include "model/AllgatherSelection.h"
-#include "model/AllreduceSelection.h"
 #include "obs/Journal.h"
 #include "obs/Metrics.h"
 #include "support/Format.h"
@@ -604,51 +602,6 @@ unsigned DecisionCache::clear() {
 //===----------------------------------------------------------------------===//
 // Cached calibration and decision tables
 //===----------------------------------------------------------------------===//
-
-DecisionTable
-mpicsel::buildDecisionTable(const CalibratedModels &Models,
-                            std::vector<unsigned> Procs,
-                            std::vector<std::uint64_t> MessageSizes) {
-  DecisionTable T;
-  T.Collective = CollectiveOp::Bcast;
-  T.Procs = std::move(Procs);
-  T.MessageSizes = std::move(MessageSizes);
-  T.Choice.reserve(T.Procs.size() * T.MessageSizes.size());
-  for (unsigned P : T.Procs)
-    for (std::uint64_t M : T.MessageSizes)
-      T.Choice.push_back(static_cast<unsigned>(Models.selectBest(P, M)));
-  return T;
-}
-
-DecisionTable
-mpicsel::buildAllgatherDecisionTable(const AllgatherModels &Models,
-                                     std::vector<unsigned> Procs,
-                                     std::vector<std::uint64_t> BlockSizes) {
-  DecisionTable T;
-  T.Collective = CollectiveOp::Allgather;
-  T.Procs = std::move(Procs);
-  T.MessageSizes = std::move(BlockSizes);
-  T.Choice.reserve(T.Procs.size() * T.MessageSizes.size());
-  for (unsigned P : T.Procs)
-    for (std::uint64_t M : T.MessageSizes)
-      T.Choice.push_back(static_cast<unsigned>(Models.selectBest(P, M)));
-  return T;
-}
-
-DecisionTable
-mpicsel::buildAllreduceDecisionTable(const AllreduceModels &Models,
-                                     std::vector<unsigned> Procs,
-                                     std::vector<std::uint64_t> MessageSizes) {
-  DecisionTable T;
-  T.Collective = CollectiveOp::Allreduce;
-  T.Procs = std::move(Procs);
-  T.MessageSizes = std::move(MessageSizes);
-  T.Choice.reserve(T.Procs.size() * T.MessageSizes.size());
-  for (unsigned P : T.Procs)
-    for (std::uint64_t M : T.MessageSizes)
-      T.Choice.push_back(static_cast<unsigned>(Models.selectBest(P, M)));
-  return T;
-}
 
 namespace {
 

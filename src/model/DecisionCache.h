@@ -74,25 +74,23 @@ struct DecisionTable {
   }
 };
 
-/// Evaluates selectBest over the grid.
-DecisionTable buildDecisionTable(const CalibratedModels &Models,
+/// Evaluates selectBest over the grid, tagged with the op's
+/// CollectiveOp. The bcast instance is called by name from
+/// perfbench/cpp/PaperWorkloads.cpp.
+template <CollectiveOp Op>
+DecisionTable buildDecisionTable(const CollectiveModels<Op> &Models,
                                  std::vector<unsigned> Procs,
-                                 std::vector<std::uint64_t> MessageSizes);
-
-struct AllgatherModels;
-struct AllreduceModels;
-
-/// The same flattening for the symmetric collectives: selectBest of
-/// the calibrated allgather/allreduce models over the grid, tagged
-/// with the matching CollectiveOp.
-DecisionTable
-buildAllgatherDecisionTable(const AllgatherModels &Models,
-                            std::vector<unsigned> Procs,
-                            std::vector<std::uint64_t> BlockSizes);
-DecisionTable
-buildAllreduceDecisionTable(const AllreduceModels &Models,
-                            std::vector<unsigned> Procs,
-                            std::vector<std::uint64_t> MessageSizes);
+                                 std::vector<std::uint64_t> MessageSizes) {
+  DecisionTable T;
+  T.Collective = Op;
+  T.Procs = std::move(Procs);
+  T.MessageSizes = std::move(MessageSizes);
+  T.Choice.reserve(T.Procs.size() * T.MessageSizes.size());
+  for (unsigned P : T.Procs)
+    for (std::uint64_t M : T.MessageSizes)
+      T.Choice.push_back(static_cast<unsigned>(Models.selectBest(P, M)));
+  return T;
+}
 
 /// A directory of memoised calibration results and decision tables.
 class DecisionCache {

@@ -5,6 +5,7 @@
 #include "coll/Barrier.h"
 #include "coll/PointToPoint.h"
 #include "drift/Drift.h"
+#include "model/CollectiveModels.h"
 #include "mpi/ScheduleIntern.h"
 #include "obs/Metrics.h"
 #include "sim/Engine.h"
@@ -72,25 +73,7 @@ std::string bcastKey(const BcastConfig &Config, unsigned NumProcs) {
                    Config.Root, Config.KChainFanout, Config.Tag);
 }
 
-/// The plain-broadcast experiment over ranks 0..NumProcs-1, timed to
-/// the latest exit over all ranks.
-BuiltSchedule bcastExperiment(unsigned NumProcs, const BcastConfig &Config) {
-  ScheduleBuilder B(NumProcs);
-  BuiltSchedule Built;
-  Built.Exit = appendBcast(B, Config);
-  Built.S = B.take();
-  return Built;
-}
-
-/// The Sect. 4.2 calibration experiment: the broadcast closed by a
-/// linear gather of \p GatherBytes per rank, timed on the root.
-BuiltSchedule bcastGatherExperiment(unsigned NumProcs,
-                                    const BcastConfig &Bcast,
-                                    std::uint64_t GatherBytes) {
-  ScheduleBuilder B(NumProcs);
-  return closeWithGather(B, appendBcast(B, Bcast), GatherBytes, Bcast.Root,
-                         Bcast.Tag);
-}
+using BcastDescriptor = CollectiveDescriptor<CollectiveOp::Bcast>;
 
 /// Plain broadcast replays are what the deployed selection serves, so
 /// they are the drift sentinel's feed; the calibration's bcast+gather
@@ -159,7 +142,9 @@ double mpicsel::runBcastOnce(const Platform &P, unsigned NumProcs,
   checkRanks(P, NumProcs);
   InternedScheduleRef IS = ScheduleInternCache::global().intern(
       "bcast|" + bcastKey(Config, NumProcs),
-      [&] { return bcastExperiment(NumProcs, Config); });
+      [&] {
+        return BcastDescriptor::experiment(P, NumProcs, Config, std::nullopt);
+      });
   return feedDriftSentinel(NumProcs, Config,
                            replayExperiment(*IS, P, Seed, "broadcast"));
 }
@@ -167,7 +152,10 @@ double mpicsel::runBcastOnce(const Platform &P, unsigned NumProcs,
 AdaptiveResult mpicsel::measureBcast(const Platform &P, unsigned NumProcs,
                                      const BcastConfig &Config,
                                      const AdaptiveOptions &Options) {
-  return measureScoped(P, bcastExperiment(NumProcs, Config), "broadcast",
+  return measureScoped(P,
+                       BcastDescriptor::experiment(P, NumProcs, Config,
+                                                   std::nullopt),
+                       "broadcast",
                        Options, [&](double Latency) {
                          return feedDriftSentinel(NumProcs, Config, Latency);
                        });
@@ -182,7 +170,9 @@ double mpicsel::runBcastGatherOnce(const Platform &P, unsigned NumProcs,
       strFormat("bcastgather|gb=%llu|",
                 static_cast<unsigned long long>(GatherBytes)) +
           bcastKey(Bcast, NumProcs),
-      [&] { return bcastGatherExperiment(NumProcs, Bcast, GatherBytes); });
+      [&] {
+        return BcastDescriptor::experiment(P, NumProcs, Bcast, GatherBytes);
+      });
   // The experiment starts and finishes on the root (paper Sect. 4.2).
   return replayExperiment(*IS, P, Seed, "bcast+gather");
 }
@@ -192,9 +182,9 @@ AdaptiveResult mpicsel::measureBcastGather(const Platform &P,
                                            const BcastConfig &Bcast,
                                            std::uint64_t GatherBytes,
                                            const AdaptiveOptions &Options) {
-  return measureExperiment(P,
-                           bcastGatherExperiment(NumProcs, Bcast, GatherBytes),
-                           "bcast+gather", Options);
+  return measureExperiment(
+      P, BcastDescriptor::experiment(P, NumProcs, Bcast, GatherBytes),
+      "bcast+gather", Options);
 }
 
 double mpicsel::runLinearBcastTrainOnce(const Platform &P, unsigned NumProcs,

@@ -19,7 +19,8 @@
 ///    broadcasts separated by barriers -- timed on the root.
 ///
 /// Every adaptive measurement -- measureBcast, measureBcastGather and
-/// the other collectives' measure* through measureExperiment --
+/// the other collectives' measureCollective and calibration
+/// experiments through measureExperiment --
 /// compiles its experiment once, without its source, and replays every
 /// repetition on an engine of its own; both are freed when the
 /// measurement ends. The paper's method finishes one (algorithm, P, m)

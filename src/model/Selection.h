@@ -65,6 +65,7 @@ struct SelectionPoint {
 
 /// Measures all six algorithms at the calibrated segment size,
 /// evaluates both decision procedures and measures their choices.
+/// perfbench/cpp/PaperWorkloads.cpp calls it by name.
 SelectionPoint evaluateSelectionPoint(const Platform &P, unsigned NumProcs,
                                       std::uint64_t MessageBytes,
                                       const CalibratedModels &Models,

@@ -5,13 +5,13 @@
 //
 // Tests of the collective-zoo extension: the paper's methodology
 // applied to MPI_Allgather (coll/Allgather.h +
-// model/AllgatherSelection.h).
+// model/CollectiveModels.h).
 //
 //===----------------------------------------------------------------------===//
 
 #include "coll/Allgather.h"
 #include "coll/OmpiDecision.h"
-#include "model/AllgatherSelection.h"
+#include "model/CollectiveModels.h"
 #include "oracle/RunnerOracle.h"
 #include "sim/Engine.h"
 #include "verify/Verifier.h"
@@ -23,6 +23,19 @@
 using namespace mpicsel;
 
 namespace {
+
+constexpr CollectiveOp ThisOp = CollectiveOp::Allgather;
+
+/// One run of the library's allgather experiment, closed by a gather of
+/// \p GatherBytes when given.
+double runOnce(const Platform &P, unsigned NumProcs,
+               const AllgatherConfig &Config, std::uint64_t Seed,
+               std::optional<std::uint64_t> GatherBytes = std::nullopt) {
+  return runExperimentOnce(
+      P, CollectiveDescriptor<ThisOp>::experiment(P, NumProcs, Config,
+                                                  GatherBytes),
+      Seed, "allgather");
+}
 
 Platform testPlatform(unsigned NumProcs) { return makeTestPlatform(NumProcs); }
 
@@ -49,14 +62,14 @@ RunnerOracle allgatherOracle(unsigned NumProcs, const AllgatherConfig &Config,
   return O;
 }
 
-/// calibrateAllgather's sweep with every observation taken through the
-/// oracle. \p Gamma comes from the library (its estimation runs the
-/// broadcast runners, not the ones under test).
-AllgatherModels
+/// calibrateCollective's allgather sweep with every observation taken
+/// through the oracle. \p Gamma comes from the library (its
+/// estimation runs the broadcast runners, not the ones under test).
+CollectiveModels<ThisOp>
 oracleCalibrateAllgather(const Platform &Plat,
-                         const AllgatherCalibrationOptions &Options,
+                         const CollectiveOptions<ThisOp> &Options,
                          const GammaFunction &Gamma) {
-  AllgatherModels Models;
+  CollectiveModels<ThisOp> Models;
   Models.Gamma = Gamma;
   const unsigned NumProcs = Options.NumProcs;
   for (AllgatherAlgorithm Alg : AllAllgatherAlgorithms) {
@@ -78,7 +91,7 @@ oracleCalibrateAllgather(const Platform &Plat,
       X.push_back(C.B / C.A);
       T.push_back(Mean / C.A);
     }
-    AllgatherCalibration &Calib =
+    AlgorithmFit<AllgatherAlgorithm> &Calib =
         Models.Algorithms[static_cast<unsigned>(Alg)];
     Calib.Algorithm = Alg;
     Calib.Fit = fitHuber(X, T);
@@ -248,11 +261,11 @@ TEST(AllgatherOmpi, FixedDecisionThresholds) {
 TEST(AllgatherCalibration, EndToEndSelectionIsReasonable) {
   Platform Plat = testPlatform(24);
   Plat.NoiseSigma = 0.01;
-  AllgatherCalibrationOptions Options;
+  CollectiveOptions<ThisOp> Options;
   Options.NumProcs = 12;
   Options.Adaptive.MinReps = 3;
   Options.Adaptive.MaxReps = 6;
-  AllgatherModels Models = calibrateAllgather(Plat, Options);
+  const auto Models = calibrateCollective<ThisOp>(Plat, Options);
 
   for (AllgatherAlgorithm Alg : AllAllgatherAlgorithms) {
     EXPECT_GE(Models.of(Alg).Alpha, 0.0);
@@ -271,7 +284,8 @@ TEST(AllgatherCalibration, EndToEndSelectionIsReasonable) {
       AllgatherConfig Config;
       Config.Algorithm = Alg;
       Config.BlockBytes = BlockBytes;
-      double Time = measureAllgather(Plat, 20, Config, Quick).Stats.Mean;
+      double Time =
+          measureCollective<ThisOp>(Plat, 20, Config, Quick).Stats.Mean;
       if (Best == 0 || Time < Best)
         Best = Time;
       if (Alg == Choice)
@@ -286,10 +300,9 @@ TEST(AllgatherRunner, DeterministicAndComposable) {
   AllgatherConfig Config;
   Config.Algorithm = AllgatherAlgorithm::RecursiveDoubling;
   Config.BlockBytes = 2048;
-  EXPECT_EQ(runAllgatherOnce(Plat, 8, Config, 3),
-            runAllgatherOnce(Plat, 8, Config, 3));
-  double AllgatherOnly = runAllgatherOnce(Plat, 8, Config, 3);
-  double WithGather = runAllgatherGatherOnce(Plat, 8, Config, 1024, 3);
+  EXPECT_EQ(runOnce(Plat, 8, Config, 3), runOnce(Plat, 8, Config, 3));
+  double AllgatherOnly = runOnce(Plat, 8, Config, 3);
+  double WithGather = runOnce(Plat, 8, Config, 3, 1024);
   EXPECT_GT(WithGather, AllgatherOnly);
 }
 
@@ -308,11 +321,12 @@ TEST(AllgatherRunner, MatchesPerRepetitionRunScheduleOracle) {
         Options.MaxReps = 6;
         Options.BaseSeed = Seed;
         const RunnerOracle Plain = allgatherOracle(12, Config, std::nullopt);
-        expectSameMeasurement(measureAllgather(Plat, 12, Config, Options),
-                              Plain.measure(Plat, Options));
-        EXPECT_EQ(runAllgatherOnce(Plat, 12, Config, Seed),
+        expectSameMeasurement(
+            measureCollective<ThisOp>(Plat, 12, Config, Options),
+            Plain.measure(Plat, Options));
+        EXPECT_EQ(runOnce(Plat, 12, Config, Seed),
                   Plain.runOnce(Plat, Seed));
-        EXPECT_EQ(runAllgatherGatherOnce(Plat, 12, Config, 1024, Seed),
+        EXPECT_EQ(runOnce(Plat, 12, Config, Seed, 1024),
                   allgatherOracle(12, Config, 1024).runOnce(Plat, Seed));
       }
   });
@@ -320,7 +334,7 @@ TEST(AllgatherRunner, MatchesPerRepetitionRunScheduleOracle) {
 
 TEST(AllgatherCalibration, MatchesOracleAtEveryGammaThreadCount) {
   const Platform Plat = noisyTestPlatform(8);
-  AllgatherCalibrationOptions Options;
+  CollectiveOptions<ThisOp> Options;
   Options.NumProcs = 8;
   Options.BlockSizes = {1024, 4096, 16384};
   Options.GatherSizes = {512, 1024, 4096};
@@ -328,12 +342,12 @@ TEST(AllgatherCalibration, MatchesOracleAtEveryGammaThreadCount) {
   Options.Adaptive.MaxReps = 5;
   Options.GammaOptions.Adaptive = Options.Adaptive;
   Options.GammaOptions.Threads = 1;
-  const AllgatherModels Serial = calibrateAllgather(Plat, Options);
+  const auto Serial = calibrateCollective<ThisOp>(Plat, Options);
   Options.GammaOptions.Threads = 4;
-  const AllgatherModels Threaded = calibrateAllgather(Plat, Options);
+  const auto Threaded = calibrateCollective<ThisOp>(Plat, Options);
   for (unsigned P = 2; P <= 8; ++P)
     EXPECT_EQ(Threaded.Gamma(P), Serial.Gamma(P));
-  const AllgatherModels Oracle =
+  const CollectiveModels<ThisOp> Oracle =
       oracleCalibrateAllgather(Plat, Options, Serial.Gamma);
   expectSameCalibration(Serial, Oracle);
   expectSameCalibration(Threaded, Oracle);
@@ -345,6 +359,6 @@ TEST(AllgatherRunner, RepetitionsReplayOnAWarmArena) {
   Config.Algorithm = AllgatherAlgorithm::Ring;
   Config.BlockBytes = 4096;
   expectWarmReplays(8, [&](const AdaptiveOptions &Options) {
-    return measureAllgather(Plat, 12, Config, Options);
+    return measureCollective<ThisOp>(Plat, 12, Config, Options);
   });
 }

@@ -5,13 +5,13 @@
 //
 // Tests of the collective-zoo extension: the paper's methodology
 // applied to MPI_Allreduce (coll/Allreduce.h +
-// model/AllreduceSelection.h).
+// model/CollectiveModels.h).
 //
 //===----------------------------------------------------------------------===//
 
 #include "coll/Allreduce.h"
 #include "coll/OmpiDecision.h"
-#include "model/AllreduceSelection.h"
+#include "model/CollectiveModels.h"
 #include "oracle/RunnerOracle.h"
 #include "sim/Engine.h"
 #include "verify/Verifier.h"
@@ -24,6 +24,19 @@
 using namespace mpicsel;
 
 namespace {
+
+constexpr CollectiveOp ThisOp = CollectiveOp::Allreduce;
+
+/// One run of the library's allreduce experiment, closed by a gather of
+/// \p GatherBytes when given.
+double runOnce(const Platform &P, unsigned NumProcs,
+               const AllreduceConfig &Config, std::uint64_t Seed,
+               std::optional<std::uint64_t> GatherBytes = std::nullopt) {
+  return runExperimentOnce(
+      P, CollectiveDescriptor<ThisOp>::experiment(P, NumProcs, Config,
+                                                  GatherBytes),
+      Seed, "allreduce");
+}
 
 Platform testPlatform(unsigned NumProcs) { return makeTestPlatform(NumProcs); }
 
@@ -54,14 +67,14 @@ RunnerOracle allreduceOracle(const Platform &P, unsigned NumProcs,
   return O;
 }
 
-/// calibrateAllreduce's sweep with every observation taken through the
-/// oracle. \p Gamma comes from the library (its estimation runs the
-/// broadcast runners, not the ones under test).
-AllreduceModels
+/// calibrateCollective's allreduce sweep with every observation taken
+/// through the oracle. \p Gamma comes from the library (its
+/// estimation runs the broadcast runners, not the ones under test).
+CollectiveModels<ThisOp>
 oracleCalibrateAllreduce(const Platform &Plat,
-                         const AllreduceCalibrationOptions &Options,
+                         const CollectiveOptions<ThisOp> &Options,
                          const GammaFunction &Gamma) {
-  AllreduceModels Models;
+  CollectiveModels<ThisOp> Models;
   Models.Gamma = Gamma;
   Models.SegmentBytes = Options.SegmentBytes;
   const unsigned NumProcs = Options.NumProcs;
@@ -92,7 +105,7 @@ oracleCalibrateAllreduce(const Platform &Plat,
       X.push_back(C.B / C.A);
       T.push_back(Mean / C.A);
     }
-    AllreduceCalibration &Calib =
+    AlgorithmFit<AllreduceAlgorithm> &Calib =
         Models.Algorithms[static_cast<unsigned>(Alg)];
     Calib.Algorithm = Alg;
     Calib.Fit = fitHuber(X, T);
@@ -238,11 +251,11 @@ TEST(AllreduceOmpi, FixedDecisionThresholds) {
 TEST(AllreduceCalibration, EndToEndSelectionIsReasonable) {
   Platform Plat = testPlatform(24);
   Plat.NoiseSigma = 0.01;
-  AllreduceCalibrationOptions Options;
+  CollectiveOptions<ThisOp> Options;
   Options.NumProcs = 12;
   Options.Adaptive.MinReps = 3;
   Options.Adaptive.MaxReps = 6;
-  AllreduceModels Models = calibrateAllreduce(Plat, Options);
+  const auto Models = calibrateCollective<ThisOp>(Plat, Options);
 
   for (AllreduceAlgorithm Alg : AllAllreduceAlgorithms) {
     EXPECT_GE(Models.of(Alg).Alpha, 0.0);
@@ -262,7 +275,8 @@ TEST(AllreduceCalibration, EndToEndSelectionIsReasonable) {
       AllreduceConfig Config;
       Config.Algorithm = Alg;
       Config.MessageBytes = MessageBytes;
-      double Time = measureAllreduce(Plat, 20, Config, Quick).Stats.Mean;
+      double Time =
+          measureCollective<ThisOp>(Plat, 20, Config, Quick).Stats.Mean;
       if (Best == 0 || Time < Best)
         Best = Time;
       if (Alg == Choice)
@@ -277,10 +291,9 @@ TEST(AllreduceRunner, DeterministicAndComposable) {
   AllreduceConfig Config;
   Config.Algorithm = AllreduceAlgorithm::Ring;
   Config.MessageBytes = 65536;
-  EXPECT_EQ(runAllreduceOnce(Plat, 8, Config, 3),
-            runAllreduceOnce(Plat, 8, Config, 3));
-  double AllreduceOnly = runAllreduceOnce(Plat, 8, Config, 3);
-  double WithGather = runAllreduceGatherOnce(Plat, 8, Config, 1024, 3);
+  EXPECT_EQ(runOnce(Plat, 8, Config, 3), runOnce(Plat, 8, Config, 3));
+  double AllreduceOnly = runOnce(Plat, 8, Config, 3);
+  double WithGather = runOnce(Plat, 8, Config, 3, 1024);
   EXPECT_GT(WithGather, AllreduceOnly);
 }
 
@@ -301,11 +314,12 @@ TEST(AllreduceRunner, MatchesPerRepetitionRunScheduleOracle) {
         Options.BaseSeed = Seed;
         const RunnerOracle Plain =
             allreduceOracle(Plat, 12, Config, std::nullopt);
-        expectSameMeasurement(measureAllreduce(Plat, 12, Config, Options),
-                              Plain.measure(Plat, Options));
-        EXPECT_EQ(runAllreduceOnce(Plat, 12, Config, Seed),
+        expectSameMeasurement(
+            measureCollective<ThisOp>(Plat, 12, Config, Options),
+            Plain.measure(Plat, Options));
+        EXPECT_EQ(runOnce(Plat, 12, Config, Seed),
                   Plain.runOnce(Plat, Seed));
-        EXPECT_EQ(runAllreduceGatherOnce(Plat, 12, Config, 2048, Seed),
+        EXPECT_EQ(runOnce(Plat, 12, Config, Seed, 2048),
                   allreduceOracle(Plat, 12, Config, 2048).runOnce(Plat, Seed));
       }
   });
@@ -313,19 +327,19 @@ TEST(AllreduceRunner, MatchesPerRepetitionRunScheduleOracle) {
 
 TEST(AllreduceCalibration, MatchesOracleAtEveryGammaThreadCount) {
   const Platform Plat = noisyTestPlatform(8);
-  AllreduceCalibrationOptions Options;
+  CollectiveOptions<ThisOp> Options;
   Options.NumProcs = 8;
   Options.MessageSizes = {8192, 65536, 524288};
   Options.Adaptive.MinReps = 3;
   Options.Adaptive.MaxReps = 5;
   Options.GammaOptions.Adaptive = Options.Adaptive;
   Options.GammaOptions.Threads = 1;
-  const AllreduceModels Serial = calibrateAllreduce(Plat, Options);
+  const auto Serial = calibrateCollective<ThisOp>(Plat, Options);
   Options.GammaOptions.Threads = 4;
-  const AllreduceModels Threaded = calibrateAllreduce(Plat, Options);
+  const auto Threaded = calibrateCollective<ThisOp>(Plat, Options);
   for (unsigned P = 2; P <= 8; ++P)
     EXPECT_EQ(Threaded.Gamma(P), Serial.Gamma(P));
-  const AllreduceModels Oracle =
+  const CollectiveModels<ThisOp> Oracle =
       oracleCalibrateAllreduce(Plat, Options, Serial.Gamma);
   expectSameCalibration(Serial, Oracle);
   expectSameCalibration(Threaded, Oracle);
@@ -337,6 +351,6 @@ TEST(AllreduceRunner, RepetitionsReplayOnAWarmArena) {
   Config.Algorithm = AllreduceAlgorithm::Ring;
   Config.MessageBytes = 65536;
   expectWarmReplays(8, [&](const AdaptiveOptions &Options) {
-    return measureAllreduce(Plat, 12, Config, Options);
+    return measureCollective<ThisOp>(Plat, 12, Config, Options);
   });
 }

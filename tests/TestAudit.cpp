@@ -16,7 +16,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "audit/Audit.h"
-#include "model/AllreduceSelection.h"
 #include "model/DecisionCache.h"
 
 #include <gtest/gtest.h>
@@ -95,18 +94,19 @@ TEST(Audit, TaggedAllreduceTableAuditsCleanGenerically) {
   // The op-generic table audit: a tagged allreduce table built from
   // the calibrated allreduce models' own selectBest must pass the
   // same shape/argmin/island checks through a cost callback.
-  AllreduceCalibrationOptions CalOptions;
+  constexpr CollectiveOp Allreduce = CollectiveOp::Allreduce;
+  CollectiveOptions<Allreduce> CalOptions;
   CalOptions.NumProcs = 12;
   CalOptions.MessageSizes = {8192, 32768, 131072, 524288, 2097152};
   CalOptions.Adaptive.MinReps = 3;
   CalOptions.Adaptive.MaxReps = 8;
   CalOptions.GammaOptions.Adaptive.MinReps = 3;
   CalOptions.GammaOptions.Adaptive.MaxReps = 8;
-  const AllreduceModels Models =
-      calibrateAllreduce(smallCluster(), CalOptions);
+  const CollectiveModels<Allreduce> Models =
+      calibrateCollective<Allreduce>(smallCluster(), CalOptions);
   AuditOptions Options = testOptions();
-  const DecisionTable T = buildAllreduceDecisionTable(
-      Models, Options.Procs, Options.MessageSizes);
+  const DecisionTable T =
+      buildDecisionTable(Models, Options.Procs, Options.MessageSizes);
   EXPECT_EQ(T.Collective, CollectiveOp::Allreduce);
   const TableCostFn Predict = [&Models](unsigned Choice, unsigned P,
                                         std::uint64_t M) {

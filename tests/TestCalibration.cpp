@@ -11,6 +11,7 @@
 
 #include "drift/Drift.h"
 #include "model/Calibration.h"
+#include "model/DecisionCache.h"
 #include "model/Runner.h"
 #include "model/Selection.h"
 #include "model/TraditionalModels.h"
@@ -22,6 +23,7 @@
 #include <cmath>
 #include <optional>
 #include <string>
+#include <type_traits>
 
 using namespace mpicsel;
 
@@ -63,6 +65,50 @@ BcastConfig bcastConfig(BcastAlgorithm Alg, std::uint64_t MessageBytes) {
   Config.MessageBytes = MessageBytes;
   Config.SegmentBytes = Alg == BcastAlgorithm::Linear ? 0 : 8192;
   return Config;
+}
+
+/// calibrate()'s stage 2 written out by hand, with every observation
+/// taken through the oracle. \p Gamma comes from the library (stage 1
+/// runs the gamma trains, not the experiments under test).
+CalibratedModels oracleCalibrateBcast(const Platform &Plat,
+                                      const CalibrationOptions &Options,
+                                      const GammaFunction &Gamma) {
+  CalibratedModels Models;
+  Models.Gamma = Gamma;
+  const unsigned NumProcs = Options.NumProcs;
+  for (BcastAlgorithm Alg : AllBcastAlgorithms) {
+    AlgorithmCalibration &Calib =
+        Models.Algorithms[static_cast<unsigned>(Alg)];
+    Calib.Algorithm = Alg;
+    for (std::size_t I = 0; I != Options.MessageSizes.size(); ++I) {
+      BcastConfig Config = bcastConfig(Alg, Options.MessageSizes[I]);
+      Config.KChainFanout = Options.KChainFanout;
+      std::uint64_t GatherBytes = std::clamp<std::uint64_t>(
+          Config.MessageBytes / 64, 1024, 256 * 1024);
+      if (GatherBytes == Options.SegmentBytes)
+        GatherBytes += 512;
+      AdaptiveOptions Adaptive = Options.Adaptive;
+      Adaptive.BaseSeed += 0x100000ull * static_cast<unsigned>(Alg) +
+                           0x100ull * I;
+      const double Mean = bcastOracle(NumProcs, Config, GatherBytes)
+                              .measure(Plat, Adaptive)
+                              .Stats.Mean;
+      BcastModelQuery Query;
+      Query.NumProcs = NumProcs;
+      Query.MessageBytes = Config.MessageBytes;
+      Query.SegmentBytes = Config.SegmentBytes;
+      Query.KChainFanout = Options.KChainFanout;
+      const CostCoefficients C =
+          bcastCostCoefficients(Alg, Query, Gamma) +
+          linearGatherCostCoefficients(NumProcs, GatherBytes);
+      Calib.CanonicalX.push_back(C.B / C.A);
+      Calib.CanonicalT.push_back(Mean / C.A);
+    }
+    Calib.Fit = fitHuber(Calib.CanonicalX, Calib.CanonicalT);
+    Calib.Alpha = std::max(Calib.Fit.Intercept, 0.0);
+    Calib.Beta = std::max(Calib.Fit.Slope, 0.0);
+  }
+  return Models;
 }
 
 } // namespace
@@ -194,6 +240,33 @@ TEST(Calibration, OlsVariantAlsoWorks) {
     EXPECT_GE(M.of(Alg).Beta, 0.0);
 }
 
+TEST(Calibration, MatchesOracleAtEveryThreadCount) {
+  const Platform Plat = noisyTestPlatform(8);
+  CalibrationOptions Options;
+  Options.NumProcs = 8;
+  // 8 KiB takes the 1 KiB floor of the gather ramp; 512 KiB lands on
+  // the segment size and takes the 512-byte bump.
+  Options.MessageSizes = {8192, 65536, 524288};
+  Options.Adaptive.MinReps = 3;
+  Options.Adaptive.MaxReps = 5;
+  Options.GammaOptions.Adaptive = Options.Adaptive;
+  Options.Threads = 1;
+  const CalibratedModels Serial = calibrate(Plat, Options);
+  Options.Threads = 4;
+  const CalibratedModels Threaded = calibrate(Plat, Options);
+  for (unsigned P = 2; P <= 8; ++P)
+    EXPECT_EQ(Threaded.Gamma(P), Serial.Gamma(P));
+  const CalibratedModels Oracle =
+      oracleCalibrateBcast(Plat, Options, Serial.Gamma);
+  for (const CalibratedModels *Got : {&Serial, &Threaded}) {
+    expectSameCalibration(*Got, Oracle);
+    for (BcastAlgorithm Alg : AllBcastAlgorithms) {
+      EXPECT_EQ(Got->of(Alg).CanonicalX, Oracle.of(Alg).CanonicalX);
+      EXPECT_EQ(Got->of(Alg).CanonicalT, Oracle.of(Alg).CanonicalT);
+    }
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Selection
 //===----------------------------------------------------------------------===//
@@ -251,6 +324,41 @@ TEST(Selection, SelectBestIsTheArgminOfPredict) {
       EXPECT_LE(ChosenTime, M.predict(Alg, 20, MessageBytes) + 1e-15);
   }
 }
+
+template <typename OpT> class SelectionOf : public ::testing::Test {};
+using AllOps = ::testing::Types<
+    std::integral_constant<CollectiveOp, CollectiveOp::Bcast>,
+    std::integral_constant<CollectiveOp, CollectiveOp::Scatter>,
+    std::integral_constant<CollectiveOp, CollectiveOp::Reduce>,
+    std::integral_constant<CollectiveOp, CollectiveOp::Allgather>,
+    std::integral_constant<CollectiveOp, CollectiveOp::Allreduce>>;
+TYPED_TEST_SUITE(SelectionOf, AllOps);
+
+TYPED_TEST(SelectionOf, SelectBestIsTheArgminOfPredict) {
+  constexpr CollectiveOp Op = TypeParam::value;
+  // Latency falls and bandwidth cost rises with the ordinal, so the
+  // argmin moves across the grid.
+  CollectiveModels<Op> M;
+  M.Gamma = GammaFunction({1.0, 1.3, 1.55, 1.7, 1.9});
+  for (std::size_t I = 0; I != M.Algorithms.size(); ++I) {
+    M.Algorithms[I].Algorithm = CollectiveDescriptor<Op>::Algorithms[I];
+    M.Algorithms[I].Alpha = 1e-5 / static_cast<double>(I + 1);
+    M.Algorithms[I].Beta = 1e-10 * static_cast<double>(I + 1);
+  }
+  const std::vector<unsigned> Procs = {2, 5, 16, 20};
+  const std::vector<std::uint64_t> Sizes = {1024, 16384, 1 << 20};
+  const DecisionTable T = buildDecisionTable(M, Procs, Sizes);
+  EXPECT_EQ(T.Collective, Op);
+  for (std::size_t PI = 0; PI != Procs.size(); ++PI)
+    for (std::size_t SI = 0; SI != Sizes.size(); ++SI) {
+      const auto Chosen = M.selectBest(Procs[PI], Sizes[SI]);
+      EXPECT_EQ(T.at(PI, SI), static_cast<unsigned>(Chosen));
+      const double ChosenTime = M.predict(Chosen, Procs[PI], Sizes[SI]);
+      for (auto Alg : CollectiveDescriptor<Op>::Algorithms)
+        EXPECT_LE(ChosenTime, M.predict(Alg, Procs[PI], Sizes[SI]));
+    }
+}
+
 
 //===----------------------------------------------------------------------===//
 // Runner determinism and statistics

@@ -6,7 +6,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "coll/Reduce.h"
-#include "model/ReduceSelection.h"
+#include "model/CollectiveModels.h"
 #include "oracle/RunnerOracle.h"
 #include "sim/Engine.h"
 #include "topo/Tree.h"
@@ -18,6 +18,19 @@
 using namespace mpicsel;
 
 namespace {
+
+constexpr CollectiveOp ThisOp = CollectiveOp::Reduce;
+
+/// One run of the library's reduce experiment, closed by a gather of
+/// \p GatherBytes when given.
+double runOnce(const Platform &P, unsigned NumProcs,
+               const ReduceConfig &Config, std::uint64_t Seed,
+               std::optional<std::uint64_t> GatherBytes = std::nullopt) {
+  return runExperimentOnce(
+      P, CollectiveDescriptor<ThisOp>::experiment(P, NumProcs, Config,
+                                                  GatherBytes),
+      Seed, "reduce");
+}
 
 using ReduceCase = std::tuple<ReduceAlgorithm, unsigned, std::uint64_t>;
 
@@ -46,13 +59,14 @@ RunnerOracle reduceOracle(const Platform &P, unsigned NumProcs,
   return O;
 }
 
-/// calibrateReduce's sweep with every observation taken through the
-/// oracle. \p Gamma comes from the library (its estimation runs the
-/// broadcast runners, not the ones under test).
-ReduceModels oracleCalibrateReduce(const Platform &Plat,
-                                   const ReduceCalibrationOptions &Options,
-                                   const GammaFunction &Gamma) {
-  ReduceModels Models;
+/// calibrateCollective's reduce sweep with every observation taken
+/// through the oracle. \p Gamma comes from the library (its
+/// estimation runs the broadcast runners, not the ones under test).
+CollectiveModels<ThisOp>
+oracleCalibrateReduce(const Platform &Plat,
+                      const CollectiveOptions<ThisOp> &Options,
+                      const GammaFunction &Gamma) {
+  CollectiveModels<ThisOp> Models;
   Models.Gamma = Gamma;
   Models.SegmentBytes = Options.SegmentBytes;
   const unsigned NumProcs = Options.NumProcs;
@@ -81,7 +95,7 @@ ReduceModels oracleCalibrateReduce(const Platform &Plat,
       X.push_back(C.B / C.A);
       T.push_back(Mean / C.A);
     }
-    ReduceCalibration &Calib = Models.Algorithms[static_cast<unsigned>(Alg)];
+    auto &Calib = Models.Algorithms[static_cast<unsigned>(Alg)];
     Calib.Algorithm = Alg;
     Calib.Fit = fitHuber(X, T);
     Calib.Alpha = std::max(Calib.Fit.Intercept, 0.0);
@@ -155,12 +169,12 @@ TEST(Reduce, ComputeCostIsCharged) {
   Config.MessageBytes = 1 << 20;
   Config.SegmentBytes = 8192;
   Config.ComputeSecondsPerByte = 0.0;
-  double Free = runReduceOnce(P, 8, Config, 0);
-  // runReduceOnce fills 0 from the platform; force distinct values.
+  double Free = runOnce(P, 8, Config, 0);
+  // The experiment fills 0 from the platform; force distinct values.
   Config.ComputeSecondsPerByte = 1e-12; // Effectively free.
-  double Cheap = runReduceOnce(P, 8, Config, 0);
+  double Cheap = runOnce(P, 8, Config, 0);
   Config.ComputeSecondsPerByte = 5e-9; // Slower than the network.
-  double Expensive = runReduceOnce(P, 8, Config, 0);
+  double Expensive = runOnce(P, 8, Config, 0);
   EXPECT_GT(Expensive, 1.5 * Cheap);
   EXPECT_GT(Free, 0.0);
 }
@@ -172,7 +186,7 @@ TEST(Reduce, PipelineBeatsLinearOnLargeVectors) {
     Config.Algorithm = Alg;
     Config.MessageBytes = 4 << 20;
     Config.SegmentBytes = 8192;
-    return runReduceOnce(P, 24, Config, 0);
+    return runOnce(P, 24, Config, 0);
   };
   // The linear reduce drains 23 x 4 MB through one NIC; the
   // segmented trees pipeline.
@@ -202,12 +216,12 @@ TEST(ReduceModels, CoefficientsMatchClosedForms) {
 TEST(ReduceCalibration, EndToEndSelectionIsReasonable) {
   Platform Plat = makeTestPlatform(24);
   Plat.NoiseSigma = 0.01;
-  ReduceCalibrationOptions Options;
+  CollectiveOptions<ThisOp> Options;
   Options.NumProcs = 12;
   Options.MessageSizes = {8192, 131072, 1048576};
   Options.Adaptive.MinReps = 3;
   Options.Adaptive.MaxReps = 6;
-  ReduceModels Models = calibrateReduce(Plat, Options);
+  const auto Models = calibrateCollective<ThisOp>(Plat, Options);
 
   for (ReduceAlgorithm Alg : AllReduceAlgorithms) {
     EXPECT_GE(Models.of(Alg).Alpha, 0.0);
@@ -229,7 +243,8 @@ TEST(ReduceCalibration, EndToEndSelectionIsReasonable) {
       Config.MessageBytes = MessageBytes;
       Config.SegmentBytes =
           Alg == ReduceAlgorithm::Linear ? 0 : Models.SegmentBytes;
-      double Time = measureReduce(Plat, 20, Config, Quick).Stats.Mean;
+      double Time =
+          measureCollective<ThisOp>(Plat, 20, Config, Quick).Stats.Mean;
       if (Best == 0 || Time < Best)
         Best = Time;
       if (Alg == Choice)
@@ -244,10 +259,10 @@ TEST(ReduceRunner, DeterministicPerSeed) {
   ReduceConfig Config;
   Config.Algorithm = ReduceAlgorithm::Binomial;
   Config.MessageBytes = 65536;
-  EXPECT_EQ(runReduceOnce(Plat, 16, Config, 9),
-            runReduceOnce(Plat, 16, Config, 9));
-  EXPECT_NE(runReduceOnce(Plat, 16, Config, 9),
-            runReduceOnce(Plat, 16, Config, 10));
+  EXPECT_EQ(runOnce(Plat, 16, Config, 9),
+            runOnce(Plat, 16, Config, 9));
+  EXPECT_NE(runOnce(Plat, 16, Config, 9),
+            runOnce(Plat, 16, Config, 10));
 }
 
 TEST(ReduceRunner, MatchesPerRepetitionRunScheduleOracle) {
@@ -268,11 +283,12 @@ TEST(ReduceRunner, MatchesPerRepetitionRunScheduleOracle) {
         Options.BaseSeed = Seed;
         const RunnerOracle Plain =
             reduceOracle(Plat, 12, Config, std::nullopt);
-        expectSameMeasurement(measureReduce(Plat, 12, Config, Options),
-                              Plain.measure(Plat, Options));
-        EXPECT_EQ(runReduceOnce(Plat, 12, Config, Seed),
+        expectSameMeasurement(
+            measureCollective<ThisOp>(Plat, 12, Config, Options),
+            Plain.measure(Plat, Options));
+        EXPECT_EQ(runOnce(Plat, 12, Config, Seed),
                   Plain.runOnce(Plat, Seed));
-        EXPECT_EQ(runReduceGatherOnce(Plat, 12, Config, 2048, Seed),
+        EXPECT_EQ(runOnce(Plat, 12, Config, Seed, 2048),
                   reduceOracle(Plat, 12, Config, 2048).runOnce(Plat, Seed));
       }
   });
@@ -280,19 +296,19 @@ TEST(ReduceRunner, MatchesPerRepetitionRunScheduleOracle) {
 
 TEST(ReduceCalibration, MatchesOracleAtEveryGammaThreadCount) {
   const Platform Plat = noisyTestPlatform(8);
-  ReduceCalibrationOptions Options;
+  CollectiveOptions<ThisOp> Options;
   Options.NumProcs = 8;
   Options.MessageSizes = {8192, 65536, 524288};
   Options.Adaptive.MinReps = 3;
   Options.Adaptive.MaxReps = 5;
   Options.GammaOptions.Adaptive = Options.Adaptive;
   Options.GammaOptions.Threads = 1;
-  const ReduceModels Serial = calibrateReduce(Plat, Options);
+  const auto Serial = calibrateCollective<ThisOp>(Plat, Options);
   Options.GammaOptions.Threads = 4;
-  const ReduceModels Threaded = calibrateReduce(Plat, Options);
+  const auto Threaded = calibrateCollective<ThisOp>(Plat, Options);
   for (unsigned P = 2; P <= 8; ++P)
     EXPECT_EQ(Threaded.Gamma(P), Serial.Gamma(P));
-  const ReduceModels Oracle =
+  const CollectiveModels<ThisOp> Oracle =
       oracleCalibrateReduce(Plat, Options, Serial.Gamma);
   expectSameCalibration(Serial, Oracle);
   expectSameCalibration(Threaded, Oracle);

@@ -4,12 +4,12 @@
 // algorithms (reproduction of Nuriyev & Lastovetsky, PaCT 2021).
 //
 // Tests of the "future work" extension: the paper's methodology
-// applied to MPI_Scatter (coll/Scatter.h + model/ScatterSelection.h).
+// applied to MPI_Scatter (coll/Scatter.h + model/CollectiveModels.h).
 //
 //===----------------------------------------------------------------------===//
 
 #include "coll/Scatter.h"
-#include "model/ScatterSelection.h"
+#include "model/CollectiveModels.h"
 #include "oracle/RunnerOracle.h"
 #include "sim/Engine.h"
 #include "topo/Tree.h"
@@ -21,6 +21,19 @@
 using namespace mpicsel;
 
 namespace {
+
+constexpr CollectiveOp ThisOp = CollectiveOp::Scatter;
+
+/// One run of the library's scatter experiment, closed by a gather of
+/// \p GatherBytes when given.
+double runOnce(const Platform &P, unsigned NumProcs,
+               const ScatterConfig &Config, std::uint64_t Seed,
+               std::optional<std::uint64_t> GatherBytes = std::nullopt) {
+  return runExperimentOnce(
+      P, CollectiveDescriptor<ThisOp>::experiment(P, NumProcs, Config,
+                                                  GatherBytes),
+      Seed, "scatter");
+}
 
 Platform testPlatform(unsigned NumProcs) { return makeTestPlatform(NumProcs); }
 
@@ -48,13 +61,14 @@ RunnerOracle scatterOracle(unsigned NumProcs, const ScatterConfig &Config,
   return O;
 }
 
-/// calibrateScatter's sweep with every observation taken through the
-/// oracle. \p Gamma comes from the library (its estimation runs the
-/// broadcast runners, not the ones under test).
-ScatterModels oracleCalibrateScatter(const Platform &Plat,
-                                     const ScatterCalibrationOptions &Options,
-                                     const GammaFunction &Gamma) {
-  ScatterModels Models;
+/// calibrateCollective's scatter sweep with every observation taken
+/// through the oracle. \p Gamma comes from the library (its
+/// estimation runs the broadcast runners, not the ones under test).
+CollectiveModels<ThisOp>
+oracleCalibrateScatter(const Platform &Plat,
+                       const CollectiveOptions<ThisOp> &Options,
+                       const GammaFunction &Gamma) {
+  CollectiveModels<ThisOp> Models;
   Models.Gamma = Gamma;
   const unsigned NumProcs = Options.NumProcs;
   for (ScatterAlgorithm Alg : AllScatterAlgorithms) {
@@ -76,7 +90,7 @@ ScatterModels oracleCalibrateScatter(const Platform &Plat,
       X.push_back(C.B / C.A);
       T.push_back(Mean / C.A);
     }
-    ScatterCalibration &Calib = Models.Algorithms[static_cast<unsigned>(Alg)];
+    auto &Calib = Models.Algorithms[static_cast<unsigned>(Alg)];
     Calib.Algorithm = Alg;
     Calib.Fit = fitHuber(X, T);
     Calib.Alpha = std::max(Calib.Fit.Intercept, 0.0);
@@ -196,11 +210,11 @@ TEST(ScatterModels, SingleRankIsFree) {
 TEST(ScatterCalibration, EndToEndSelectionIsReasonable) {
   Platform Plat = testPlatform(24);
   Plat.NoiseSigma = 0.01;
-  ScatterCalibrationOptions Options;
+  CollectiveOptions<ThisOp> Options;
   Options.NumProcs = 12;
   Options.Adaptive.MinReps = 3;
   Options.Adaptive.MaxReps = 6;
-  ScatterModels Models = calibrateScatter(Plat, Options);
+  const auto Models = calibrateCollective<ThisOp>(Plat, Options);
 
   for (ScatterAlgorithm Alg : AllScatterAlgorithms) {
     EXPECT_GE(Models.of(Alg).Alpha, 0.0);
@@ -220,7 +234,8 @@ TEST(ScatterCalibration, EndToEndSelectionIsReasonable) {
       ScatterConfig Config;
       Config.Algorithm = Alg;
       Config.BlockBytes = BlockBytes;
-      double Time = measureScatter(Plat, 20, Config, Quick).Stats.Mean;
+      double Time =
+          measureCollective<ThisOp>(Plat, 20, Config, Quick).Stats.Mean;
       if (Best == 0 || Time < Best)
         Best = Time;
       if (Alg == Choice)
@@ -235,10 +250,9 @@ TEST(ScatterRunner, DeterministicAndComposable) {
   ScatterConfig Config;
   Config.Algorithm = ScatterAlgorithm::Binomial;
   Config.BlockBytes = 2048;
-  EXPECT_EQ(runScatterOnce(Plat, 8, Config, 3),
-            runScatterOnce(Plat, 8, Config, 3));
-  double ScatterOnly = runScatterOnce(Plat, 8, Config, 3);
-  double WithGather = runScatterGatherOnce(Plat, 8, Config, 1024, 3);
+  EXPECT_EQ(runOnce(Plat, 8, Config, 3), runOnce(Plat, 8, Config, 3));
+  double ScatterOnly = runOnce(Plat, 8, Config, 3);
+  double WithGather = runOnce(Plat, 8, Config, 3, 1024);
   EXPECT_GT(WithGather, ScatterOnly);
 }
 
@@ -258,11 +272,12 @@ TEST(ScatterRunner, MatchesPerRepetitionRunScheduleOracle) {
         Options.MaxReps = 6;
         Options.BaseSeed = Seed;
         const RunnerOracle Plain = scatterOracle(12, Config, std::nullopt);
-        expectSameMeasurement(measureScatter(Plat, 12, Config, Options),
-                              Plain.measure(Plat, Options));
-        EXPECT_EQ(runScatterOnce(Plat, 12, Config, Seed),
+        expectSameMeasurement(
+            measureCollective<ThisOp>(Plat, 12, Config, Options),
+            Plain.measure(Plat, Options));
+        EXPECT_EQ(runOnce(Plat, 12, Config, Seed),
                   Plain.runOnce(Plat, Seed));
-        EXPECT_EQ(runScatterGatherOnce(Plat, 12, Config, 1024, Seed),
+        EXPECT_EQ(runOnce(Plat, 12, Config, Seed, 1024),
                   scatterOracle(12, Config, 1024).runOnce(Plat, Seed));
       }
   });
@@ -270,7 +285,7 @@ TEST(ScatterRunner, MatchesPerRepetitionRunScheduleOracle) {
 
 TEST(ScatterCalibration, MatchesOracleAtEveryGammaThreadCount) {
   const Platform Plat = noisyTestPlatform(8);
-  ScatterCalibrationOptions Options;
+  CollectiveOptions<ThisOp> Options;
   Options.NumProcs = 8;
   Options.BlockSizes = {1024, 4096, 16384};
   Options.GatherSizes = {512, 1024, 4096};
@@ -278,12 +293,12 @@ TEST(ScatterCalibration, MatchesOracleAtEveryGammaThreadCount) {
   Options.Adaptive.MaxReps = 5;
   Options.GammaOptions.Adaptive = Options.Adaptive;
   Options.GammaOptions.Threads = 1;
-  const ScatterModels Serial = calibrateScatter(Plat, Options);
+  const auto Serial = calibrateCollective<ThisOp>(Plat, Options);
   Options.GammaOptions.Threads = 4;
-  const ScatterModels Threaded = calibrateScatter(Plat, Options);
+  const auto Threaded = calibrateCollective<ThisOp>(Plat, Options);
   for (unsigned P = 2; P <= 8; ++P)
     EXPECT_EQ(Threaded.Gamma(P), Serial.Gamma(P));
-  const ScatterModels Oracle =
+  const CollectiveModels<ThisOp> Oracle =
       oracleCalibrateScatter(Plat, Options, Serial.Gamma);
   expectSameCalibration(Serial, Oracle);
   expectSameCalibration(Threaded, Oracle);

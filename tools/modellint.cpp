@@ -34,8 +34,6 @@
 #include "bench/BenchCommon.h"
 #include "cluster/Platform.h"
 #include "coll/Collective.h"
-#include "model/AllgatherSelection.h"
-#include "model/AllreduceSelection.h"
 #include "model/DecisionCache.h"
 #include "obs/Journal.h"
 #include "serve/TableImage.h"
@@ -49,6 +47,7 @@
 #include <cstdlib>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 using namespace mpicsel;
@@ -133,6 +132,30 @@ bool writeReportJson(const std::string &Path, const std::string &Subject,
   if (Ok)
     std::fprintf(stderr, "wrote audit report: %s\n", Path.c_str());
   return Ok;
+}
+
+/// Calibrates \p Op on \p P afresh and flattens the models into the
+/// tagged decision table over the audit grid, paired with the models'
+/// predictions as the audit's cost oracle.
+template <CollectiveOp Op>
+std::pair<DecisionTable, TableCostFn>
+calibratedTable(const Platform &P, bool Quick, const AuditOptions &Options) {
+  CollectiveOptions<Op> CalOptions;
+  if (Quick) {
+    CalOptions.Adaptive.MinReps = 3;
+    CalOptions.Adaptive.MaxReps = 8;
+    CalOptions.GammaOptions.Adaptive.MinReps = 3;
+    CalOptions.GammaOptions.Adaptive.MaxReps = 8;
+  }
+  const CollectiveModels<Op> Models = calibrateCollective<Op>(P, CalOptions);
+  DecisionTable Table =
+      buildDecisionTable(Models, Options.Procs, Options.MessageSizes);
+  TableCostFn Predict = [Models](unsigned Choice, unsigned NumProcs,
+                                 std::uint64_t Bytes) {
+    using Algorithm = typename CollectiveModels<Op>::Algorithm;
+    return Models.predict(static_cast<Algorithm>(Choice), NumProcs, Bytes);
+  };
+  return {std::move(Table), std::move(Predict)};
 }
 
 } // namespace
@@ -293,7 +316,7 @@ int main(int Argc, char **Argv) {
     if (*Collective != CollectiveOp::Allgather &&
         *Collective != CollectiveOp::Allreduce) {
       std::fprintf(stderr,
-                   "error: --collective %s has no calibration pipeline "
+                   "error: --collective %s is not audited by modellint "
                    "(supported: bcast, allgather, allreduce)\n",
                    collectiveOpName(*Collective));
       return 2;
@@ -320,41 +343,10 @@ int main(int Argc, char **Argv) {
       for (unsigned Procs = 2; Procs <= P.maxProcs(); Procs *= 2)
         Options.Procs.push_back(Procs);
     const auto SweepStart = std::chrono::steady_clock::now();
-    DecisionTable Built;
-    TableCostFn Predict;
-    if (*Collective == CollectiveOp::Allgather) {
-      AllgatherCalibrationOptions CalOptions;
-      if (Quick) {
-        CalOptions.Adaptive.MinReps = 3;
-        CalOptions.Adaptive.MaxReps = 8;
-        CalOptions.GammaOptions.Adaptive.MinReps = 3;
-        CalOptions.GammaOptions.Adaptive.MaxReps = 8;
-      }
-      const AllgatherModels Models = calibrateAllgather(P, CalOptions);
-      Built = buildAllgatherDecisionTable(Models, Options.Procs,
-                                          Options.MessageSizes);
-      Predict = [Models](unsigned Choice, unsigned NumProcs,
-                         std::uint64_t Bytes) {
-        return Models.predict(static_cast<AllgatherAlgorithm>(Choice),
-                              NumProcs, Bytes);
-      };
-    } else {
-      AllreduceCalibrationOptions CalOptions;
-      if (Quick) {
-        CalOptions.Adaptive.MinReps = 3;
-        CalOptions.Adaptive.MaxReps = 8;
-        CalOptions.GammaOptions.Adaptive.MinReps = 3;
-        CalOptions.GammaOptions.Adaptive.MaxReps = 8;
-      }
-      const AllreduceModels Models = calibrateAllreduce(P, CalOptions);
-      Built = buildAllreduceDecisionTable(Models, Options.Procs,
-                                          Options.MessageSizes);
-      Predict = [Models](unsigned Choice, unsigned NumProcs,
-                         std::uint64_t Bytes) {
-        return Models.predict(static_cast<AllreduceAlgorithm>(Choice),
-                              NumProcs, Bytes);
-      };
-    }
+    const auto [Built, Predict] =
+        *Collective == CollectiveOp::Allgather
+            ? calibratedTable<CollectiveOp::Allgather>(P, Quick, Options)
+            : calibratedTable<CollectiveOp::Allreduce>(P, Quick, Options);
     AuditReport Report = auditDecisionTable(Built, Predict, Options);
     if (!DumpTable.empty() && !writeDecisionTableFile(DumpTable, Built)) {
       std::fprintf(stderr, "error: cannot write table to '%s'\n",
